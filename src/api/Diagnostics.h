@@ -64,8 +64,8 @@ struct MultiChainResult {
   const std::vector<double> &logJoint(int Chain) const;
 };
 
-/// Runs \p NumChains independent chains of the same model/options, each
-/// compiled separately with a distinct seed derived from Opts.Seed.
+/// Runs \p NumChains independent chains of one compiled artifact, each
+/// with a distinct seed derived from Opts.Seed.
 Result<MultiChainResult>
 runChains(const std::string &ModelSource, CompileOptions Opts,
           const std::vector<Value> &HyperArgs, const Env &Data,

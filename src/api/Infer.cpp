@@ -17,13 +17,12 @@ namespace {
 /// of the sampling request. Resume refuses a checkpoint written under a
 /// different fingerprint — replaying "the remaining stream" is only
 /// meaningful when the stream is the same.
-uint64_t chainFingerprint(const std::string &Source, MCMCProgram &Prog,
-                          const SampleOptions &SO) {
-  const CompileOptions &O = Prog.options();
-  uint64_t H = robust::fnv1a(Source);
+uint64_t chainFingerprint(MCMCProgram &Prog, const SampleOptions &SO) {
+  const CompileOptions &O = Prog.artifact().Opts;
+  uint64_t H = robust::fnv1a(Prog.artifact().Source);
   H = robust::fnv1a(Prog.schedule().str(), H);
-  uint64_t Words[] = {O.Seed,
-                      uint64_t(O.ChainIndex),
+  uint64_t Words[] = {Prog.seed(),
+                      uint64_t(Prog.chainIndex()),
                       uint64_t(O.Tgt),
                       uint64_t(O.NativeCpu ? 1 : 0),
                       uint64_t(SO.BurnIn),
@@ -67,7 +66,7 @@ robust::ChainCheckpoint snapshotProgram(MCMCProgram &Prog,
   return CP;
 }
 
-/// Restores a snapshot into the freshly-compiled \p Prog. The program
+/// Restores a snapshot into the freshly-built chain \p Prog. The chain
 /// must have been built from the same source/options (checked via the
 /// fingerprint); restore then overwrites latents, RNG, step sizes, and
 /// per-site counters, and invalidates the factor cache so the first
@@ -120,15 +119,19 @@ Status restoreProgram(MCMCProgram &Prog, const robust::ChainCheckpoint &CP,
   return Status::success();
 }
 
-/// Sample collection over an already-initialized program (shared by
-/// single-chain sample() and the per-chain bodies of sampleChains).
+} // namespace
+
 /// One flat sweep loop so checkpoint/resume has a single linear
 /// position: sweep s retains a draw iff s > BurnIn and
 /// (s - BurnIn) % Thin == 0 — the same stream the original nested
 /// burn-in/thin loops produced.
-Result<SampleSet> collectSamples(MCMCProgram &Prog, const SampleOptions &SO,
-                                 const std::vector<std::string> &Record,
-                                 uint64_t Fingerprint, int ChainId = 0) {
+Result<SampleSet> augur::collectSamples(MCMCProgram &Prog,
+                                        const SampleOptions &SO) {
+  std::vector<std::string> Record = SO.Record;
+  if (Record.empty())
+    Record = Prog.densityModel().TM.M.paramNames();
+  const uint64_t Fingerprint = chainFingerprint(Prog, SO);
+  const int ChainId = Prog.chainIndex();
   SampleSet Out;
   Out.ChainId = ChainId;
   const bool Ckpt = !SO.CheckpointDir.empty();
@@ -204,18 +207,6 @@ Result<SampleSet> collectSamples(MCMCProgram &Prog, const SampleOptions &SO,
   return Out;
 }
 
-} // namespace
-
-Result<SampleSet> augur::sampleProgram(MCMCProgram &Prog,
-                                       const SampleOptions &SO,
-                                       const std::string &Source) {
-  std::vector<std::string> Record = SO.Record;
-  if (Record.empty())
-    Record = Prog.densityModel().TM.M.paramNames();
-  return collectSamples(Prog, SO, Record, chainFingerprint(Source, Prog, SO),
-                        Prog.options().ChainIndex);
-}
-
 double SampleSet::scalarMean(const std::string &Var) const {
   auto It = Draws.find(Var);
   assert(It != Draws.end() && "parameter was not recorded");
@@ -227,10 +218,8 @@ double SampleSet::scalarMean(const std::string &Var) const {
 }
 
 Status Infer::compile(std::vector<Value> HyperArgs, Env Data) {
-  AUGUR_ASSIGN_OR_RETURN(
-      Prog, Compiler::compile(Source, Opts, HyperArgs, Data));
-  ChainArgs = std::move(HyperArgs);
-  ChainData = std::move(Data);
+  AUGUR_ASSIGN_OR_RETURN(Art, Compiler::compile(Source, Opts, HyperArgs, Data));
+  Prog = std::make_unique<MCMCProgram>(Art, Opts.Seed, 0);
   try {
     return Prog->init();
   } catch (...) {
@@ -242,11 +231,7 @@ Status Infer::compile(std::vector<Value> HyperArgs, Env Data) {
 Result<SampleSet> Infer::sample(const SampleOptions &SO) {
   if (!Prog)
     return Status::error("sample() called before a successful compile()");
-  std::vector<std::string> Record = SO.Record;
-  if (Record.empty())
-    Record = Prog->densityModel().TM.M.paramNames();
-  return collectSamples(*Prog, SO, Record,
-                        chainFingerprint(Source, *Prog, SO));
+  return collectSamples(*Prog, SO);
 }
 
 Result<std::vector<SampleSet>> Infer::sampleChains(const SampleOptions &SO) {
@@ -254,42 +239,31 @@ Result<std::vector<SampleSet>> Infer::sampleChains(const SampleOptions &SO) {
     return Status::error(
         "sampleChains() called before a successful compile()");
   int NumChains = Opts.Par.Chains < 1 ? 1 : Opts.Par.Chains;
-  std::vector<std::string> Record = SO.Record;
-  if (Record.empty())
-    Record = Prog->densityModel().TM.M.paramNames();
 
-  // Compile sequentially (program construction touches the process-wide
-  // pool and the host compiler), then sample the chains concurrently:
-  // each program owns its state and RNG, so chains share nothing.
-  std::vector<std::unique_ptr<MCMCProgram>> Progs;
+  // Build and initialize every chain of the one artifact (no
+  // compilation), then sample them concurrently: each chain owns its
+  // state and RNG, so chains share nothing mutable.
+  std::vector<std::unique_ptr<MCMCProgram>> Chains;
   for (int C = 0; C < NumChains; ++C) {
-    CompileOptions ChainOpts = Opts;
-    ChainOpts.Seed = philoxMix(Opts.Seed, uint64_t(C));
-    ChainOpts.ChainIndex = C;
-    Result<std::unique_ptr<MCMCProgram>> P =
-        Compiler::compile(Source, ChainOpts, ChainArgs, ChainData);
-    if (!P.ok())
-      return Status::error(
-          strFormat("chain %d: %s", C, P.message().c_str()));
+    auto P = std::make_unique<MCMCProgram>(
+        Art, philoxMix(Opts.Seed, uint64_t(C)), C);
     Status Init;
     try {
-      Init = (*P)->init();
+      Init = P->init();
     } catch (...) {
       Init = execFaultStatus("init");
     }
     if (!Init.ok())
       return Status::error(
           strFormat("chain %d: %s", C, Init.message().c_str()));
-    Progs.push_back(P.take());
+    Chains.push_back(std::move(P));
   }
 
   std::vector<SampleSet> Sets;
   Sets.resize(size_t(NumChains));
   std::vector<Status> ChainStatus(size_t(NumChains), Status::success());
   auto RunChain = [&](int64_t C) {
-    MCMCProgram &P = *Progs[size_t(C)];
-    Result<SampleSet> R = collectSamples(
-        P, SO, Record, chainFingerprint(Source, P, SO), int(C));
+    Result<SampleSet> R = collectSamples(*Chains[size_t(C)], SO);
     if (R.ok())
       Sets[size_t(C)] = R.take();
     else

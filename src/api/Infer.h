@@ -114,8 +114,9 @@ public:
   void setCompileOpt(CompileOptions O) { Opts = std::move(O); }
   void setUserSched(std::string Sched) { Opts.UserSchedule = std::move(Sched); }
 
-  /// Compiles the model against concrete arguments and data, and
-  /// initializes the chain state from the prior.
+  /// Compiles the model against concrete arguments and data into one
+  /// artifact, and builds chain 0 of it (seed CompileOptions::Seed),
+  /// initialized from the prior.
   Status compile(std::vector<Value> HyperArgs, Env Data);
 
   /// Draws posterior samples (compile() must have succeeded).
@@ -126,43 +127,37 @@ public:
     return sample(SO);
   }
 
-  /// Runs CompileOptions::Par.Chains independent chains and returns one
-  /// SampleSet per chain, ordered by chain index. Chain c is compiled
-  /// with seed philoxMix(Opts.Seed, c), so the result set is a pure
-  /// function of the options — independent of thread count and of
-  /// whether the chains run sequentially or over the pool (they run
+  /// Runs CompileOptions::Par.Chains independent chains of the compiled
+  /// artifact and returns one SampleSet per chain, ordered by chain
+  /// index. Chain c is built from the artifact with seed
+  /// philoxMix(Opts.Seed, c) — no recompilation — so the result set is
+  /// a pure function of the options, independent of thread count and
+  /// of whether the chains run sequentially or over the pool (they run
   /// concurrently when Par.NumThreads != 1). compile() must have
-  /// succeeded (it validates the model and supplies the chain
-  /// arguments).
+  /// succeeded.
   Result<std::vector<SampleSet>> sampleChains(const SampleOptions &SO);
 
-  /// The compiled program (valid after compile()).
+  /// The chain compile() built (valid after compile()).
   MCMCProgram &program() {
     assert(Prog && "compile() has not succeeded");
     return *Prog;
   }
-  bool compiled() const { return Prog != nullptr; }
+  /// The compiled artifact every chain shares (valid after compile()).
+  const std::shared_ptr<const Artifact> &artifact() const { return Art; }
 
 private:
   std::string Source;
   CompileOptions Opts;
+  std::shared_ptr<const Artifact> Art;
   std::unique_ptr<MCMCProgram> Prog;
-  /// Arguments retained from compile() so sampleChains can build one
-  /// program per chain.
-  std::vector<Value> ChainArgs;
-  Env ChainData;
 };
 
-/// Sample collection over an externally-owned, already-initialized
-/// program — the compile-once/serve-many entry point (src/serve reuses
-/// one cached MCMCProgram across requests via
-/// MCMCProgram::resetForReuse). \p Source must be the model source the
-/// program was compiled from; it keys the checkpoint fingerprint
-/// exactly as Infer::sample does, so a stream collected here is
-/// bit-identical to one collected through Infer with the same options.
-/// The chain id is taken from the program's CompileOptions::ChainIndex.
-Result<SampleSet> sampleProgram(MCMCProgram &Prog, const SampleOptions &SO,
-                                const std::string &Source);
+/// Collects samples from an initialized chain: the sample loop shared by
+/// Infer::sample, Infer::sampleChains and the serve daemon, so a served
+/// stream is bit-identical to a direct one with the same options. The
+/// chain's artifact source and seed key the checkpoint fingerprint; its
+/// chain index names the checkpoint file and the returned SampleSet.
+Result<SampleSet> collectSamples(MCMCProgram &Chain, const SampleOptions &SO);
 
 } // namespace augur
 

@@ -108,40 +108,56 @@ static inline double augur_dirichlet_ll(const double *a, i64 n,
 }
 )c";
 
-/// The telemetry side of the emitted module: a fixed counter table
-/// mirroring the interpreter's parallel-loop occupancy profile, read
-/// back (and reset) by the host engine through the exported
-/// augur_get_profile. Slots: 0 par_loops, 1 par_iters, 2 par_chunks,
-/// 3 par_steals (always 0 — the shared-cursor pool has no steal
-/// distinction), 4 par_busy_nanos, 5 par_thread_nanos, 6 reduce
-/// regions dispatched, 7 reduce partial-buffer bytes. Emitted into
-/// every module so the host can query one uniform schema; a sequential
-/// module simply reports zeros.
-const char *ProfilePrelude = R"c(
+/// The per-caller context every module carries: each calling engine
+/// allocates its own through the exported augur_ctx_new, so no
+/// per-caller state lives in file-scope statics. It holds a fixed
+/// counter table mirroring the interpreter's parallel-loop occupancy
+/// profile, read back (and reset) by the host engine through the
+/// exported augur_get_profile — slots: 0 par_loops, 1 par_iters,
+/// 2 par_chunks, 3 par_steals (always 0 — the shared-cursor pool has no
+/// steal distinction), 4 par_busy_nanos, 5 par_thread_nanos, 6 reduce
+/// regions dispatched, 7 reduce partial-buffer bytes; a sequential
+/// module simply reports zeros — plus one partial-buffer slot per
+/// map-reduce target (AUGUR_NRED, defined just before).
+const char *ContextPrelude = R"c(
+#include <stdlib.h>
 #include <time.h>
-static i64 augur_prof[8];
 static inline i64 augur_now_nanos(void) {
   struct timespec augur_ts;
   clock_gettime(CLOCK_MONOTONIC, &augur_ts);
   return (i64)augur_ts.tv_sec * 1000000000 + (i64)augur_ts.tv_nsec;
 }
-void augur_get_profile(i64 *out) {
+struct augur_redbuf { char *p; i64 cap, s; };
+struct augur_ctx { i64 prof[8]; struct augur_redbuf red[AUGUR_NRED]; };
+void *augur_ctx_new(void) { return calloc(1, sizeof(struct augur_ctx)); }
+void augur_ctx_free(void *vc) {
+  struct augur_ctx *c = (struct augur_ctx *)vc;
+  for (int i = 0; i < AUGUR_NRED; ++i) free(c->red[i].p);
+  free(c);
+}
+void augur_get_profile(void *vc, i64 *out) {
+  struct augur_ctx *c = (struct augur_ctx *)vc;
   for (int i = 0; i < 8; ++i)
-    out[i] = __atomic_exchange_n(&augur_prof[i], 0, __ATOMIC_RELAXED);
+    out[i] = __atomic_exchange_n(&c->prof[i], 0, __ATOMIC_RELAXED);
 }
 )c";
 
 /// The pthread-backed pool linked into parallel modules: the C-side
 /// mirror of parallel/ThreadPool. Workers claim grain-sized chunks off
 /// an atomic cursor; the caller participates and then waits on the
-/// region's completion latch. augur_set_threads is exported so the host
-/// engine can size the pool after dlopen (before the first region).
+/// region's completion latch. One caller owns the pool at a time (the
+/// region try-lock, like ThreadPool's RegionMu): a caller that finds it
+/// busy runs its region inline, so chains sharing a module never wait
+/// on each other. Every region counts into its caller's profile table.
+/// augur_set_threads is exported so the host engine can size the pool
+/// after dlopen (before the first region).
 const char *ParallelPrelude = R"c(
 #include <pthread.h>
 typedef void (*augur_loop_fn)(void *env, i64 lo, i64 hi);
 static i64 augur_num_threads = 1;
 static i64 augur_grain = 16;
 static struct {
+  pthread_mutex_t region; /* held by the caller whose region owns the pool */
   pthread_mutex_t m;
   pthread_cond_t work_cv, done_cv;
   i64 generation;   /* bumped per region to wake workers */
@@ -149,10 +165,12 @@ static struct {
   i64 started;      /* worker threads spawned */
   augur_loop_fn fn;
   void *env;
+  i64 *prof;        /* the owning caller's profile table */
   i64 hi, chunk;
   i64 cursor;       /* next unclaimed index; __atomic advanced */
-} augur_pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
-                PTHREAD_COND_INITIALIZER, 0, 0, 0, 0, 0, 0, 0, 0};
+} augur_pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_MUTEX_INITIALIZER,
+                PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER,
+                0, 0, 0, 0, 0, 0, 0, 0, 0};
 static void augur_run_chunks(void) {
   for (;;) {
     i64 b = __atomic_fetch_add(&augur_pool.cursor, augur_pool.chunk,
@@ -162,8 +180,8 @@ static void augur_run_chunks(void) {
     if (e > augur_pool.hi) e = augur_pool.hi;
     i64 c0 = augur_now_nanos();
     augur_pool.fn(augur_pool.env, b, e);
-    __atomic_fetch_add(&augur_prof[2], 1, __ATOMIC_RELAXED);
-    __atomic_fetch_add(&augur_prof[4], augur_now_nanos() - c0,
+    __atomic_fetch_add(&augur_pool.prof[2], 1, __ATOMIC_RELAXED);
+    __atomic_fetch_add(&augur_pool.prof[4], augur_now_nanos() - c0,
                        __ATOMIC_RELAXED);
   }
 }
@@ -188,90 +206,29 @@ void augur_set_threads(i64 n, i64 grain) {
   if (n >= 1) augur_num_threads = n;
   if (grain >= 1) augur_grain = grain;
 }
-static void augur_parallel_for(i64 lo, i64 hi, augur_loop_fn fn, void *env) {
-  if (hi <= lo) return;
-  i64 t0 = augur_now_nanos();
-  __atomic_fetch_add(&augur_prof[0], 1, __ATOMIC_RELAXED);
-  __atomic_fetch_add(&augur_prof[1], hi - lo, __ATOMIC_RELAXED);
-  i64 want = augur_num_threads - 1;
-  if (want <= 0 || hi - lo <= augur_grain) {
-    fn(env, lo, hi);
-    i64 wall = augur_now_nanos() - t0;
-    __atomic_fetch_add(&augur_prof[2], 1, __ATOMIC_RELAXED);
-    __atomic_fetch_add(&augur_prof[4], wall, __ATOMIC_RELAXED);
-    __atomic_fetch_add(&augur_prof[5], wall, __ATOMIC_RELAXED);
-    return;
-  }
-  while (augur_pool.started < want) {
-    pthread_t t;
-    if (pthread_create(&t, 0, augur_pool_worker, 0) != 0) break;
-    pthread_detach(t);
-    ++augur_pool.started;
-  }
-  augur_pool.fn = fn;
-  augur_pool.env = env;
-  augur_pool.hi = hi;
-  augur_pool.chunk = augur_grain;
-  __atomic_store_n(&augur_pool.cursor, lo, __ATOMIC_RELEASE);
-  pthread_mutex_lock(&augur_pool.m);
-  augur_pool.active = augur_pool.started;
-  ++augur_pool.generation;
-  pthread_cond_broadcast(&augur_pool.work_cv);
-  pthread_mutex_unlock(&augur_pool.m);
-  augur_run_chunks(); /* caller participates */
-  pthread_mutex_lock(&augur_pool.m);
-  while (augur_pool.active != 0)
-    pthread_cond_wait(&augur_pool.done_cv, &augur_pool.m);
-  pthread_mutex_unlock(&augur_pool.m);
-  __atomic_fetch_add(&augur_prof[5],
-                     (augur_now_nanos() - t0) * (augur_pool.started + 1),
-                     __ATOMIC_RELAXED);
-}
-static inline void augur_atomic_add_f64(double *p, double v) {
-  unsigned long long *ip = (unsigned long long *)p;
-  union { double d; unsigned long long u; } old, want;
-  old.u = __atomic_load_n(ip, __ATOMIC_RELAXED);
-  do {
-    want.d = old.d + v;
-  } while (!__atomic_compare_exchange_n(ip, &old.u, want.u, 1,
-                                        __ATOMIC_RELAXED, __ATOMIC_RELAXED));
-}
-static inline void augur_atomic_add_i64(i64 *p, i64 v) {
-  __atomic_fetch_add(p, v, __ATOMIC_RELAXED);
-}
-#include <stdlib.h>
-/* Grow-only 64B-aligned scratch for map-reduce partial buffers. */
-static void *augur_red_grow(void **buf, i64 *cap, i64 need) {
-  if (*cap < need) {
-    free(*buf);
-    *buf = aligned_alloc(64, (size_t)need);
-    *cap = need;
-  }
-  return *buf;
-}
-/* Map-reduce dispatch: like augur_parallel_for but with an explicit
-   per-call grain, and the single-thread path still walks grain-sized
-   chunks — every partial row must be zeroed by the chunk that owns it,
-   so chunk boundaries are part of the result, not just a schedule. */
-static void augur_parallel_for_red(i64 lo, i64 hi, i64 grain,
+/* Runs [lo, hi) in grain-sized chunks: over the pool when this caller
+   gets it, else inline on the calling thread with the same chunk
+   geometry. Map-reduce regions pass their block as the grain: partial
+   rows are zeroed by the chunk that owns them, so chunk boundaries are
+   part of the result, not just a schedule. */
+static void augur_parallel_for_red(i64 *prof, i64 lo, i64 hi, i64 grain,
                                    augur_loop_fn fn, void *env) {
   if (hi <= lo) return;
   i64 t0 = augur_now_nanos();
-  __atomic_fetch_add(&augur_prof[0], 1, __ATOMIC_RELAXED);
-  __atomic_fetch_add(&augur_prof[1], hi - lo, __ATOMIC_RELAXED);
+  __atomic_fetch_add(&prof[0], 1, __ATOMIC_RELAXED);
+  __atomic_fetch_add(&prof[1], hi - lo, __ATOMIC_RELAXED);
   i64 want = augur_num_threads - 1;
-  if (want <= 0) {
+  if (want <= 0 || hi - lo <= grain ||
+      pthread_mutex_trylock(&augur_pool.region) != 0) {
     for (i64 b = lo; b < hi; b += grain) {
       i64 e = b + grain;
       if (e > hi) e = hi;
       i64 c0 = augur_now_nanos();
       fn(env, b, e);
-      __atomic_fetch_add(&augur_prof[2], 1, __ATOMIC_RELAXED);
-      __atomic_fetch_add(&augur_prof[4], augur_now_nanos() - c0,
-                         __ATOMIC_RELAXED);
+      __atomic_fetch_add(&prof[2], 1, __ATOMIC_RELAXED);
+      __atomic_fetch_add(&prof[4], augur_now_nanos() - c0, __ATOMIC_RELAXED);
     }
-    __atomic_fetch_add(&augur_prof[5], augur_now_nanos() - t0,
-                       __ATOMIC_RELAXED);
+    __atomic_fetch_add(&prof[5], augur_now_nanos() - t0, __ATOMIC_RELAXED);
     return;
   }
   while (augur_pool.started < want) {
@@ -282,6 +239,7 @@ static void augur_parallel_for_red(i64 lo, i64 hi, i64 grain,
   }
   augur_pool.fn = fn;
   augur_pool.env = env;
+  augur_pool.prof = prof;
   augur_pool.hi = hi;
   augur_pool.chunk = grain;
   __atomic_store_n(&augur_pool.cursor, lo, __ATOMIC_RELEASE);
@@ -295,9 +253,35 @@ static void augur_parallel_for_red(i64 lo, i64 hi, i64 grain,
   while (augur_pool.active != 0)
     pthread_cond_wait(&augur_pool.done_cv, &augur_pool.m);
   pthread_mutex_unlock(&augur_pool.m);
-  __atomic_fetch_add(&augur_prof[5],
+  __atomic_fetch_add(&prof[5],
                      (augur_now_nanos() - t0) * (augur_pool.started + 1),
                      __ATOMIC_RELAXED);
+  pthread_mutex_unlock(&augur_pool.region);
+}
+static void augur_parallel_for(i64 *prof, i64 lo, i64 hi, augur_loop_fn fn,
+                               void *env) {
+  augur_parallel_for_red(prof, lo, hi, augur_grain, fn, env);
+}
+static inline void augur_atomic_add_f64(double *p, double v) {
+  unsigned long long *ip = (unsigned long long *)p;
+  union { double d; unsigned long long u; } old, want;
+  old.u = __atomic_load_n(ip, __ATOMIC_RELAXED);
+  do {
+    want.d = old.d + v;
+  } while (!__atomic_compare_exchange_n(ip, &old.u, want.u, 1,
+                                        __ATOMIC_RELAXED, __ATOMIC_RELAXED));
+}
+static inline void augur_atomic_add_i64(i64 *p, i64 v) {
+  __atomic_fetch_add(p, v, __ATOMIC_RELAXED);
+}
+/* Grow-only 64B-aligned scratch for map-reduce partial buffers. */
+static void *augur_red_grow(void **buf, i64 *cap, i64 need) {
+  if (*cap < need) {
+    free(*buf);
+    *buf = aligned_alloc(64, (size_t)need);
+    *cap = need;
+  }
+  return *buf;
 }
 )c";
 
@@ -323,7 +307,8 @@ public:
     M.Fields = Fields;
     M.Parallel = Parallel;
     M.Source = RuntimePrelude;
-    M.Source += ProfilePrelude;
+    M.Source += strFormat("#define AUGUR_NRED %d\n", std::max(RedBufs, 1));
+    M.Source += ContextPrelude;
     if (Parallel)
       M.Source += ParallelPrelude;
     M.Source += "\ntypedef struct {\n";
@@ -341,7 +326,8 @@ public:
         break;
       }
     }
-    M.Source += "} augur_frame;\n\n";
+    // The trailing member: the calling engine's context.
+    M.Source += "  struct augur_ctx *augur_ctx;\n} augur_frame;\n\n";
     for (const auto &Fn : OutlinedFns)
       M.Source += Fn;
     M.Source += "void " + P.Name + "(augur_frame *f) {\n" + Body + "}\n";
@@ -756,8 +742,8 @@ private:
         AUGUR_RETURN_IF_ERROR(BodyStatus);
         Fn += "  }\n}\n\n";
         OutlinedFns.push_back(Fn);
-        return Pad + "augur_parallel_for(" + Lo + ", " + Hi + ", " +
-               FnName + ", (void *)f);\n";
+        return Pad + "augur_parallel_for(f->augur_ctx->prof, " + Lo + ", " +
+               Hi + ", " + FnName + ", (void *)f);\n";
       }
       if (S.LK == LoopKind::AtmPar)
         ++AtmDepth;
@@ -865,13 +851,14 @@ private:
   }
 
   /// Emits a MapReduce-annotated pooled loop (DESIGN.md section 16):
-  /// per-loop static scratch holds one 64B-padded partial row per
-  /// iteration block; the chunk function zeroes its row (first touch)
-  /// and accumulates into it via the redirect table; the call site
-  /// dispatches with grain == block through augur_parallel_for_red and
-  /// folds the rows pairwise in pinned order. Block geometry depends
-  /// only on the trip count, so the folded sums are bit-identical for
-  /// every pool width — and identical to the interpreter's.
+  /// per-loop scratch in the caller's context holds one 64B-padded
+  /// partial row per iteration block; the chunk function zeroes its row
+  /// (first touch) and accumulates into it via the redirect table; the
+  /// call site dispatches with grain == block through
+  /// augur_parallel_for_red and folds the rows pairwise in pinned order.
+  /// Block geometry depends only on the trip count, so the folded sums
+  /// are bit-identical for every pool width — and identical to the
+  /// interpreter's.
   Result<std::string> emitMapReduceLoop(const LStmt &S,
                                         const std::string &Lo,
                                         const std::string &Hi,
@@ -893,17 +880,15 @@ private:
 
     int R = RedCount++;
     std::string FnName = strFormat("%s_redbody%d", P.Name.c_str(), R);
-    // Per-loop statics: grow-only scratch plus the row stride, written
-    // by the call site and read by the chunk function.
+    // Per-loop context members: grow-only scratch plus the row stride,
+    // written by the call site and read by the chunk function.
     std::string Pre =
         strFormat("typedef struct { augur_frame *f; i64 lo, block; } "
                   "augur_red%d_env;\n",
                   R);
+    std::vector<std::string> Bufs; // the targets' augur_redbuf slots
     for (size_t J = 0; J < Ts.size(); ++J)
-      Pre += strFormat("static char *augur_red%d_t%zu; "
-                       "static i64 augur_red%d_t%zu_cap; "
-                       "static i64 augur_red%d_t%zu_s;\n",
-                       R, J, R, J, R, J);
+      Bufs.push_back(strFormat("f->augur_ctx->red[%d]", RedBufs++));
 
     std::string Fn =
         "static void " + FnName +
@@ -914,9 +899,9 @@ private:
         "  i64 augur_slot = (lo - e->lo) / e->block;\n";
     for (size_t J = 0; J < Ts.size(); ++J) {
       std::string Row = strFormat("augur_row%d_%zu", R, J);
-      Fn += strFormat("  %s *%s = (%s *)(augur_red%d_t%zu + augur_slot * "
-                      "augur_red%d_t%zu_s);\n",
-                      Ts[J].Ty, Row.c_str(), Ts[J].Ty, R, J, R, J);
+      Fn += strFormat("  %s *%s = (%s *)(%s.p + augur_slot * %s.s);\n",
+                      Ts[J].Ty, Row.c_str(), Ts[J].Ty, Bufs[J].c_str(),
+                      Bufs[J].c_str());
       Fn += "  for (i64 z_ = 0; z_ < " + Ts[J].Len + "; ++z_) " + Row +
             "[z_] = 0;\n";
       RedirectRows[Ts[J].Name] = {Row, "f->" + Ts[J].Name};
@@ -964,43 +949,41 @@ private:
     std::string BytesExpr;
     for (size_t J = 0; J < Ts.size(); ++J) {
       Out += P2 + strFormat("i64 augur_len%zu = ", J) + Ts[J].Len + ";\n";
-      Out += P2 + strFormat("augur_red%d_t%zu_s = ((augur_len%zu * 8 + "
-                            "63) / 64) * 64;\n",
-                            R, J, J);
-      Out += P2 + strFormat("augur_red_grow((void **)&augur_red%d_t%zu, "
-                            "&augur_red%d_t%zu_cap, augur_red%d_t%zu_s * "
+      const char *B = Bufs[J].c_str();
+      Out += P2 + strFormat("%s.s = ((augur_len%zu * 8 + 63) / 64) * 64;\n",
+                            B, J);
+      Out += P2 + strFormat("augur_red_grow((void **)&%s.p, &%s.cap, %s.s * "
                             "augur_rnb);\n",
-                            R, J, R, J, R, J);
+                            B, B, B);
       if (!BytesExpr.empty())
         BytesExpr += " + ";
-      BytesExpr += strFormat("augur_red%d_t%zu_s * augur_rnb", R, J);
+      BytesExpr += Bufs[J] + ".s * augur_rnb";
     }
     Out += P2 + strFormat("augur_red%d_env augur_re = {f, augur_rlo, "
                           "augur_rblock};\n",
                           R);
-    Out += P2 + "augur_parallel_for_red(augur_rlo, augur_rhi, "
-                "augur_rblock, " +
+    Out += P2 + "augur_parallel_for_red(f->augur_ctx->prof, augur_rlo, "
+                "augur_rhi, augur_rblock, " +
            FnName + ", (void *)&augur_re);\n";
-    Out += P2 + "__atomic_fetch_add(&augur_prof[6], 1, "
+    Out += P2 + "__atomic_fetch_add(&f->augur_ctx->prof[6], 1, "
                 "__ATOMIC_RELAXED);\n";
-    Out += P2 + "__atomic_fetch_add(&augur_prof[7], " + BytesExpr +
+    Out += P2 + "__atomic_fetch_add(&f->augur_ctx->prof[7], " + BytesExpr +
            ", __ATOMIC_RELAXED);\n";
     for (size_t J = 0; J < Ts.size(); ++J) {
       Out += P2 + "for (i64 s_ = 1; s_ < augur_rnb; s_ *= 2)\n";
       Out += P2 + "  for (i64 i_ = 0; i_ + s_ < augur_rnb; i_ += 2 * "
                   "s_) {\n";
-      Out += P2 + strFormat("    %s *a_ = (%s *)(augur_red%d_t%zu + i_ * "
-                            "augur_red%d_t%zu_s);\n",
-                            Ts[J].Ty, Ts[J].Ty, R, J, R, J);
-      Out += P2 + strFormat("    %s *b_ = (%s *)(augur_red%d_t%zu + (i_ "
-                            "+ s_) * augur_red%d_t%zu_s);\n",
-                            Ts[J].Ty, Ts[J].Ty, R, J, R, J);
+      const char *B = Bufs[J].c_str();
+      Out += P2 + strFormat("    %s *a_ = (%s *)(%s.p + i_ * %s.s);\n",
+                            Ts[J].Ty, Ts[J].Ty, B, B);
+      Out += P2 + strFormat("    %s *b_ = (%s *)(%s.p + (i_ + s_) * %s.s);\n",
+                            Ts[J].Ty, Ts[J].Ty, B, B);
       Out += P2 + strFormat("    for (i64 z_ = 0; z_ < augur_len%zu; "
                             "++z_) a_[z_] += b_[z_];\n",
                             J);
       Out += P2 + "  }\n";
-      Out += P2 + strFormat("{ %s *r0_ = (%s *)augur_red%d_t%zu;\n",
-                            Ts[J].Ty, Ts[J].Ty, R, J);
+      Out += P2 + strFormat("{ %s *r0_ = (%s *)%s.p;\n", Ts[J].Ty, Ts[J].Ty,
+                            B);
       Out += P2 + strFormat("  for (i64 z_ = 0; z_ < augur_len%zu; ++z_) "
                             "f->%s[z_] += r0_[z_]; }\n",
                             J, Ts[J].Name.c_str());
@@ -1060,6 +1043,7 @@ private:
   int AtmDepth = 0;
   std::map<std::string, RedRow> RedirectRows; // active chunk fn only
   int RedCount = 0;
+  int RedBufs = 0; // augur_redbuf slots of the context
 };
 
 } // namespace

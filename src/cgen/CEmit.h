@@ -9,7 +9,12 @@
 /// metadata, so the host engine can populate it from Values and call
 /// the compiled procedure through one fixed signature:
 ///
-///   void <proc>(augur_frame *f, augur_rng *rng);
+///   void <proc>(augur_frame *f);
+///
+/// The frame's trailing member points at the caller's context (struct
+/// augur_ctx: the profile table and any map-reduce partial buffers),
+/// which the module allocates through its exported augur_ctx_new /
+/// augur_ctx_free, so one loaded module serves concurrent callers.
 ///
 /// Statements that need the matrix runtime or library sampling
 /// (MvNormal/InvWishart operations, conjugate posterior draws) are not

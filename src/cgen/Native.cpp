@@ -16,36 +16,48 @@
 
 using namespace augur;
 
-NativeEngine::~NativeEngine() {
-  for (auto &KV : Compiled)
+void augur::allocateOutputs(const LowppProc &P, Env &E) {
+  for (const auto &Out : P.Outputs) {
+    if (E.count(Out))
+      continue;
+    if (startsWith(Out, "adj_") && E.count(Out.substr(4)))
+      E[Out] = zerosLike(E.at(Out.substr(4)));
+    else
+      E[Out] = Value::realScalar(0.0);
+  }
+}
+
+NativeModules::~NativeModules() {
+  for (auto &KV : Built)
     if (KV.second.Handle)
       dlclose(KV.second.Handle);
 }
 
-std::string NativeEngine::fallbackReason(const std::string &Name) const {
-  auto It = Compiled.find(Name);
-  return It == Compiled.end() ? "not yet compiled" : It->second.Reason;
+const NativeModules::Module *
+NativeModules::find(const std::string &Name) const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Built.find(Name);
+  return It == Built.end() ? nullptr : &It->second;
 }
 
-NativeEngine::NativeProc &
-NativeEngine::getOrCompile(const std::string &Name) {
-  auto It = Compiled.find(Name);
-  if (It != Compiled.end())
-    return It->second;
-  NativeProc NP;
+const NativeModules::Module &NativeModules::get(const LowppProc &P,
+                                                const Env &Shapes) {
+  // Held across the host-cc call, so a procedure two chains reach at
+  // once is still built exactly once.
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Built.find(P.Name);
+  if (It == Built.end())
+    It = Built.emplace(P.Name, build(P, Shapes)).first;
+  return It->second;
+}
 
-  // Outputs must exist before the frame layout is fixed.
-  for (const auto &Out : proc(Name).Outputs) {
-    if (env().count(Out))
-      continue;
-    if (startsWith(Out, "adj_") && env().count(Out.substr(4)))
-      env()[Out] = zerosLike(env().at(Out.substr(4)));
-    else
-      env()[Out] = Value::realScalar(0.0);
-  }
+NativeModules::Module NativeModules::build(const LowppProc &P,
+                                           const Env &Shapes) const {
+  Module NP;
+  const std::string &Name = P.Name;
 
-  // The lazy Low-- / C-emission / host-cc phase of the pipeline; spans
-  // land next to the eager compile/* phases in the trace.
+  // The Low-- / C-emission / host-cc phase of the pipeline; spans land
+  // next to the compile/* phases in the trace.
   ScopedSpan CgenSpan(Recorder::global(), "compile/cgen/" + Name,
                       "compile");
 
@@ -54,24 +66,24 @@ NativeEngine::getOrCompile(const std::string &Name) {
   // structured reason, never crash or abort the run.
   if (robust::faultFire(robust::FaultClass::NativeCompileFail)) {
     NP.Reason = "fault-injected native compile failure";
-    return Compiled.emplace(Name, std::move(NP)).first->second;
+    return NP;
   }
 
   CEmitOptions EmitOpts;
   EmitOpts.NumThreads = Par.NumThreads == 1 ? 1 : Par.resolvedThreads();
   EmitOpts.Grain = Par.Grain;
-  EmitOpts.Simd = simdEnabled();
-  Result<CModule> Mod = emitC(proc(Name), env(), EmitOpts);
+  EmitOpts.Simd = Simd;
+  Result<CModule> Mod = emitC(P, Shapes, EmitOpts);
   if (!Mod.ok()) {
     NP.Reason = Mod.message();
-    return Compiled.emplace(Name, std::move(NP)).first->second;
+    return NP;
   }
   CgenSpan.arg("source_bytes", double(Mod->Source.size()));
 
   char Dir[] = "/tmp/augur_native_XXXXXX";
   if (!mkdtemp(Dir)) {
     NP.Reason = "mkdtemp failed";
-    return Compiled.emplace(Name, std::move(NP)).first->second;
+    return NP;
   }
   std::string CPath = std::string(Dir) + "/" + Name + ".c";
   std::string SoPath = std::string(Dir) + "/" + Name + ".so";
@@ -79,8 +91,8 @@ NativeEngine::getOrCompile(const std::string &Name) {
     std::ofstream Out(CPath);
     Out << Mod->Source;
   }
-  std::string Cmd = Cc + " -O2 -fPIC -shared";
-  if (simdEnabled()) {
+  std::string Cmd = "cc -O2 -fPIC -shared";
+  if (Simd) {
     // Vector codegen for the annotated Par loops. No -ffast-math: the
     // emitted arithmetic must stay bit-compatible with the interpreter
     // (the differential harness compares streams exactly), so only
@@ -94,7 +106,7 @@ NativeEngine::getOrCompile(const std::string &Name) {
   Cmd += " -o " + SoPath + " " + CPath + " -lm 2>/dev/null";
   if (std::system(Cmd.c_str()) != 0) {
     NP.Reason = "host C compiler failed";
-    return Compiled.emplace(Name, std::move(NP)).first->second;
+    return NP;
   }
   // A parallel module spawns detached pool workers whose code lives in
   // the module; RTLD_NODELETE keeps it mapped after dlclose so a worker
@@ -105,36 +117,68 @@ NativeEngine::getOrCompile(const std::string &Name) {
   NP.Handle = dlopen(SoPath.c_str(), Flags);
   if (!NP.Handle) {
     NP.Reason = strFormat("dlopen failed: %s", dlerror());
-    return Compiled.emplace(Name, std::move(NP)).first->second;
+    return NP;
   }
-  NP.Entry = reinterpret_cast<NativeProc::FnTy>(
+  NP.Entry = reinterpret_cast<decltype(NP.Entry)>(
       dlsym(NP.Handle, Name.c_str()));
-  if (!NP.Entry) {
+  NP.CtxNew = reinterpret_cast<decltype(NP.CtxNew)>(
+      dlsym(NP.Handle, "augur_ctx_new"));
+  NP.CtxFree = reinterpret_cast<decltype(NP.CtxFree)>(
+      dlsym(NP.Handle, "augur_ctx_free"));
+  NP.Profile = reinterpret_cast<decltype(NP.Profile)>(
+      dlsym(NP.Handle, "augur_get_profile"));
+  if (!NP.Entry || !NP.CtxNew || !NP.CtxFree || !NP.Profile) {
+    NP.Entry = nullptr;
     NP.Reason = "symbol not found in compiled library";
     dlclose(NP.Handle);
     NP.Handle = nullptr;
+    return NP;
   }
-  if (NP.Handle && Mod->Parallel) {
+  if (Mod->Parallel) {
     using SetThreadsTy = void (*)(int64_t, int64_t);
     if (auto *Set = reinterpret_cast<SetThreadsTy>(
             dlsym(NP.Handle, "augur_set_threads")))
       Set(Par.resolvedThreads(), Par.Grain);
   }
-  if (NP.Handle)
-    NP.Profile = reinterpret_cast<NativeProc::ProfFnTy>(
-        dlsym(NP.Handle, "augur_get_profile"));
   NP.Fields = Mod->Fields;
-  return Compiled.emplace(Name, std::move(NP)).first->second;
+  CgenSpan.arg("native", 1.0);
+  return NP;
 }
 
-void NativeEngine::buildFrame(const NativeProc &NP, std::vector<char> &Buf) {
+NativeEngine::~NativeEngine() {
+  for (auto &KV : Binds)
+    if (KV.second.Ctx)
+      KV.second.M->CtxFree(KV.second.Ctx);
+}
+
+std::string NativeEngine::fallbackReason(const std::string &Name) const {
+  const NativeModules::Module *M = Mods ? Mods->find(Name) : nullptr;
+  return M ? M->Reason : "not yet compiled";
+}
+
+NativeEngine::Bound &NativeEngine::bind(const std::string &Name) {
+  auto It = Binds.find(Name);
+  if (It != Binds.end())
+    return It->second;
+  if (!Mods)
+    Mods = std::make_shared<NativeModules>(Par, simdEnabled());
+  const LowppProc &P = proc(Name);
+  allocateOutputs(P, env());
+  Bound B;
+  B.M = &Mods->get(P, env());
+  if (B.M->Entry)
+    B.Ctx = B.M->CtxNew();
+  return Binds.emplace(Name, B).first->second;
+}
+
+void NativeEngine::buildFrame(const Bound &B, std::vector<char> &Buf) {
   Buf.clear();
   auto Push = [&Buf](const void *P, size_t N) {
     size_t Off = Buf.size();
     Buf.resize(Off + N);
     std::memcpy(Buf.data() + Off, P, N);
   };
-  for (const auto &F : NP.Fields) {
+  for (const auto &F : B.M->Fields) {
     Value &V = env()[F.Var];
     switch (F.K) {
     case FrameField::Kind::RealPtr: {
@@ -169,19 +213,21 @@ void NativeEngine::buildFrame(const NativeProc &NP, std::vector<char> &Buf) {
     }
     }
   }
+  // The trailing member of every frame: this engine's context.
+  Push(&B.Ctx, sizeof(B.Ctx));
 }
 
 void NativeEngine::runProc(const std::string &Name) {
-  NativeProc &NP = getOrCompile(Name);
-  if (!NP.Entry) {
+  Bound &B = bind(Name);
+  if (!B.M->Entry) {
     InterpEngine::runProc(Name);
     return;
   }
   std::vector<char> Frame;
-  buildFrame(NP, Frame);
-  NP.Entry(Frame.data());
+  buildFrame(B, Frame);
+  B.M->Entry(Frame.data());
 
-  // Fold the module's occupancy profile into the attached recorder
+  // Fold this engine's occupancy profile into the attached recorder
   // under the same keys the interpreter records, so a native run
   // exports the exact interpreter schema. Only nonzero slots are
   // folded: a sequential module reports zeros, matching the
@@ -197,9 +243,9 @@ void NativeEngine::runProc(const std::string &Name) {
     T->count(K.VecFallback, 0);
     T->count(K.VecAlias, 0);
   }
-  if (NP.Profile && T && T->enabled()) {
+  if (T && T->enabled()) {
     long long Prof[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    NP.Profile(Prof);
+    B.M->Profile(B.Ctx, Prof);
     const ExecTelemetryKeys &K = telemetryKeys();
     const std::string *Keys[8] = {&K.Loops,  &K.Iters, &K.Chunks,
                                   &K.Steals, &K.Busy,  &K.Thread,

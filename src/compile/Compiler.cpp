@@ -7,6 +7,7 @@
 
 #include "cgen/Native.h"
 #include "density/Eval.h"
+#include "density/Forward.h"
 #include "lowpp/Reify.h"
 #include "robust/FaultInject.h"
 #include "support/Format.h"
@@ -59,45 +60,62 @@ bool loopsAlign(const std::vector<LoopBinding> &Loops,
 
 } // namespace
 
-Status MCMCProgram::init() {
-  AUGUR_RETURN_IF_ERROR(forwardSampleModel(DM, Eng->env(), Eng->rng(),
-                                           /*IncludeData=*/false));
-  invalidateCache();
-  return Status::success();
-}
-
-Status MCMCProgram::resetForReuse(uint64_t Seed, int ChainIndex) {
-  Opts.Seed = Seed;
-  Opts.ChainIndex = ChainIndex;
-  Eng->rng().reseed(Seed);
+MCMCProgram::MCMCProgram(std::shared_ptr<const Artifact> A, uint64_t Seed,
+                         int ChainIndex)
+    : Art(std::move(A)), Seed(Seed), ChainIndex(ChainIndex) {
+  const CompileOptions &Opts = Art->Opts;
+  const bool Cpu = Opts.Tgt == CompileOptions::Target::Cpu;
+  if (!Cpu)
+    Eng = std::make_unique<GpuSimEngine>(Seed, Opts.Device, Opts.Blk);
+  else if (Art->Native)
+    Eng = std::make_unique<NativeEngine>(Seed, Art->Native);
+  else
+    Eng = std::make_unique<InterpEngine>(Seed);
+  if (Cpu && Opts.Par.NumThreads != 1)
+    Eng->setParallel(&ThreadPool::global(Opts.Par.resolvedThreads()),
+                     Opts.Par);
+  Eng->setSimd(Opts.Simd == simd::SimdMode::On);
   std::string ChainPrefix = strFormat("chain%d/", ChainIndex);
   Eng->setTelemetry(&Recorder::global(), ChainPrefix + "exec/");
+  Eng->env() = Art->Base;
+  for (const auto &KV : Art->Procs)
+    Eng->addProc(KV.second);
   SweepLJKey = ChainPrefix + "sweep/log_joint";
   SweepCountKey = ChainPrefix + "sweep/count";
-  if (Cache) {
+
+  Updates = Art->Updates;
+  for (auto &CU : Updates)
+    CU.Keys.build(ChainPrefix, CU.U);
+
+  if (Art->DG && Opts.IncrementalFC) {
+    std::vector<FactorCache::Entry> Entries;
+    for (size_t I = 0; I < Art->DM.Joint.Factors.size(); ++I)
+      Entries.push_back({fcProcName(int(I)), fcSliceName(int(I)),
+                         /*Partial=*/0.0, /*Dirty=*/true});
+    Cache = std::make_unique<FactorCache>(*Eng, std::move(Entries));
     FCEvalKey = ChainPrefix + "fc/factors_evaluated";
     FCHitsKey = ChainPrefix + "fc/cache_hits";
     FCBypKey = ChainPrefix + "fc/byproduct_refreshes";
     FCMaintKey = ChainPrefix + "fc/maint_ns";
   }
-  if (Diag) {
-    Diag->rebind(ChainIndex);
+
+  // Observability plane: one streaming accumulator per model parameter
+  // (in declaration order, capped by DiagOptions::MaxVars). Both
+  // backends run MCMCProgram::step(), so the chain<k>/diag/* key set
+  // is identical interp-vs-native by construction.
+  if (Opts.Diag.Enabled) {
+    Diag = std::make_unique<diag::ChainDiag>(
+        Opts.Diag, Art->DM.TM.M.paramNames(), ChainIndex);
     DiagDivKey = ChainPrefix + "diag/divergences";
     DiagRetryKey = ChainPrefix + "diag/guard_retries";
     DiagFallKey = ChainPrefix + "diag/guard_fallbacks";
     DiagQuarKey = ChainPrefix + "diag/guard_quarantines";
-    DiagLastDiv = DiagLastRetry = DiagLastFall = DiagLastQuar = 0;
   }
-  for (auto &CU : Updates) {
-    // Exactly the state compileUpdate establishes on a fresh compile:
-    // adapted step sizes, acceptance counters, and guard history from
-    // the previous request must not leak into the next one.
-    CU.U.Hmc = Opts.Hmc;
-    CU.Stats = UpdateStats();
-    CU.Guard = robust::GuardState();
-    CU.LastDiverged = false;
-    CU.Keys.build(ChainPrefix, CU.U);
-  }
+}
+
+Status MCMCProgram::init() {
+  AUGUR_RETURN_IF_ERROR(forwardSampleModel(Art->DM, Eng->env(), Eng->rng(),
+                                           /*IncludeData=*/false));
   invalidateCache();
   return Status::success();
 }
@@ -105,21 +123,21 @@ Status MCMCProgram::resetForReuse(uint64_t Seed, int ChainIndex) {
 Status MCMCProgram::step() {
   McmcCtx Ctx;
   Ctx.Eng = Eng.get();
-  Ctx.DM = &DM;
+  Ctx.DM = &Art->DM;
   Ctx.Telem = &Recorder::global();
   Ctx.Cache = Cache.get();
-  Ctx.Guard = &Opts.Guard;
+  Ctx.Guard = &Art->Opts.Guard;
   for (auto &CU : Updates)
     AUGUR_RETURN_IF_ERROR(runBaseUpdate(Ctx, CU));
   Recorder &R = Recorder::global();
-  if (R.enabled() && !SweepLJKey.empty()) {
+  if (R.enabled()) {
     R.count(SweepCountKey);
     // Running log-joint, once per sweep: never consumes RNG, and with
     // the factor cache attached costs only the factors dirtied since
     // the last sweep. Gated off the GpuSim target so the modeled
     // device-time accounting is unchanged by telemetry.
     if (R.config().SweepLogJoint &&
-        Opts.Tgt == CompileOptions::Target::Cpu) {
+        Art->Opts.Tgt == CompileOptions::Target::Cpu) {
       double LJ = logJoint();
       R.observe(SweepLJKey, LJ);
       R.gauge(SweepLJKey, LJ);
@@ -179,11 +197,18 @@ void MCMCProgram::invalidateCache() {
     Cache->markAllDirty();
 }
 
-Result<CompiledUpdate> Compiler::compileUpdate(const DensityModel &DM,
-                                               const BaseUpdate &U,
-                                               const CompileOptions &Opts,
-                                               Engine &Eng, int Index,
-                                               const DepGraph *DG) {
+namespace {
+
+/// Generates the Low++ procedures for one base update into \p Procs,
+/// returning the driver-facing handle. When \p DG is given the update
+/// also declares its factor-cache contract (DirtyIds, and for
+/// enumerated Gibbs the slice buffers it refreshes as a byproduct of
+/// scoring).
+Result<CompiledUpdate> compileUpdate(const DensityModel &DM,
+                                     const BaseUpdate &U,
+                                     const CompileOptions &Opts,
+                                     std::map<std::string, LowppProc> &Procs,
+                                     int Index, const DepGraph *DG) {
   CompiledUpdate CU;
   CU.U = U;
   CU.U.Hmc = Opts.Hmc;
@@ -199,9 +224,8 @@ Result<CompiledUpdate> Compiler::compileUpdate(const DensityModel &DM,
     std::string Name = strFormat("gibbs_%s", U.Vars[0].c_str());
     if (U.Strategy == FCStrategy::Conjugate) {
       assert(U.Conj && "conjugate update carries its relation");
-      AUGUR_ASSIGN_OR_RETURN(LowppProc P,
+      AUGUR_ASSIGN_OR_RETURN(Procs[Name],
                              genConjGibbsProc(Name, *U.Cond, *U.Conj));
-      Eng.addProc(std::move(P));
     } else {
       // Byproduct plan: where the Section 3.3 rewrites sliced a blanket
       // factor down to the block index, the scoring pass already
@@ -243,9 +267,8 @@ Result<CompiledUpdate> Compiler::compileUpdate(const DensityModel &DM,
         }
       }
       AUGUR_ASSIGN_OR_RETURN(
-          LowppProc P,
+          Procs[Name],
           genEnumGibbsProc(Name, *U.Cond, Covered.empty() ? nullptr : &Byp));
-      Eng.addProc(std::move(P));
       std::sort(Covered.begin(), Covered.end());
       CU.RefreshIds = std::move(Covered);
     }
@@ -257,12 +280,11 @@ Result<CompiledUpdate> Compiler::compileUpdate(const DensityModel &DM,
   case UpdateKind::Slice: {
     assert(U.Joint && "gradient update carries its restricted joint");
     std::string LLName = strFormat("llp_%d", Index);
-    Eng.addProc(
-        genLikelihoodProc(LLName, U.Joint->Factors, "ll_" + LLName));
+    Procs[LLName] =
+        genLikelihoodProc(LLName, U.Joint->Factors, "ll_" + LLName);
     std::string GradName = strFormat("grad_%d", Index);
-    AUGUR_ASSIGN_OR_RETURN(LowppProc G,
+    AUGUR_ASSIGN_OR_RETURN(Procs[GradName],
                            genGradProc(GradName, *U.Joint, U.Vars));
-    Eng.addProc(std::move(G));
     CU.LLProc = LLName;
     CU.GradProc = GradName;
     break;
@@ -276,15 +298,15 @@ Result<CompiledUpdate> Compiler::compileUpdate(const DensityModel &DM,
       if (F.AtVar != U.Vars[0])
         Liks.push_back(F);
     std::string LLName = strFormat("llp_%d", Index);
-    Eng.addProc(genLikelihoodProc(LLName, Liks, "ll_" + LLName));
+    Procs[LLName] = genLikelihoodProc(LLName, Liks, "ll_" + LLName);
     CU.LLProc = LLName;
     break;
   }
   case UpdateKind::Prop: {
     assert(U.Joint && "MH update carries its restricted joint");
     std::string LLName = strFormat("llp_%d", Index);
-    Eng.addProc(
-        genLikelihoodProc(LLName, U.Joint->Factors, "ll_" + LLName));
+    Procs[LLName] =
+        genLikelihoodProc(LLName, U.Joint->Factors, "ll_" + LLName);
     CU.LLProc = LLName;
     break;
   }
@@ -301,22 +323,31 @@ Result<CompiledUpdate> Compiler::compileUpdate(const DensityModel &DM,
   return CU;
 }
 
-Result<std::unique_ptr<MCMCProgram>>
+} // namespace
+
+Result<std::shared_ptr<const Artifact>>
 Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
                   const std::vector<Value> &HyperArgs, const Env &Data) {
   ensureGlobalTelemetry(Opts.Telemetry);
   Recorder &Rec = Recorder::global();
   ScopedSpan TotalSpan(Rec, "compile/total", "compile");
+  // Compile-time facts are reported once per artifact, under the first
+  // chain's key prefix.
+  const std::string ChainPrefix = "chain0/";
 
   // Robustness configuration, resolved once per compile: guardrail env
-  // overrides fold into the program's options, and the fault-injection
+  // overrides fold into the artifact's options, and the fault-injection
   // spec (env wins over the field) arms the process-wide injector.
-  CompileOptions Resolved = Opts;
+  auto A = std::make_shared<Artifact>();
+  A->Source = ModelSrc;
+  A->Opts = Opts;
+  CompileOptions &Resolved = A->Opts;
   Resolved.Reduce = resolveReduceMode(Opts);
   AUGUR_RETURN_IF_ERROR(robust::applyGuardrailEnv(Resolved.Guard));
   diag::DiagOptions::applyEnv(Resolved.Diag);
   AUGUR_RETURN_IF_ERROR(
       robust::FaultInjector::global().configureFromOptions(Opts.FaultSpec));
+  const bool Cpu = Opts.Tgt == CompileOptions::Target::Cpu;
 
   // Frontend: parse + typecheck against the concrete argument types.
   uint64_t PhaseT0 = Recorder::nowNanos();
@@ -337,43 +368,29 @@ Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
     Rec.count("compile/ir/decls", NumDecls);
   }
 
-  auto Prog = std::make_unique<MCMCProgram>();
-  Prog->Opts = Resolved;
-
   // Density IL: the model as a product of log-density factors.
   PhaseT0 = Recorder::nowNanos();
-  Prog->DM = lowerToDensity(std::move(TM));
+  A->DM = lowerToDensity(std::move(TM));
   if (Rec.enabled()) {
     Rec.span("compile/density", "compile", PhaseT0, Recorder::nowNanos(),
-             {{"factors", double(Prog->DM.Joint.Factors.size())}});
-    Rec.count("compile/ir/factors", Prog->DM.Joint.Factors.size());
+             {{"factors", double(A->DM.Joint.Factors.size())}});
+    Rec.count("compile/ir/factors", A->DM.Joint.Factors.size());
   }
 
   // Kernel IL: user schedule or the selection heuristic.
   PhaseT0 = Recorder::nowNanos();
   if (!Opts.UserSchedule.empty()) {
-    AUGUR_ASSIGN_OR_RETURN(
-        Prog->Sched, parseUserSchedule(Prog->DM, Opts.UserSchedule));
+    AUGUR_ASSIGN_OR_RETURN(A->Sched,
+                           parseUserSchedule(A->DM, Opts.UserSchedule));
   } else {
-    AUGUR_ASSIGN_OR_RETURN(Prog->Sched, heuristicSchedule(Prog->DM));
+    AUGUR_ASSIGN_OR_RETURN(A->Sched, heuristicSchedule(A->DM));
   }
   if (Rec.enabled()) {
     Rec.span("compile/kernel", "compile", PhaseT0, Recorder::nowNanos(),
-             {{"updates", double(Prog->Sched.Updates.size())}});
-    Rec.count("compile/ir/updates", Prog->Sched.Updates.size());
+             {{"updates", double(A->Sched.Updates.size())}});
+    Rec.count("compile/ir/updates", A->Sched.Updates.size());
   }
 
-  // Execution engine and initial environment.
-  if (Opts.Tgt == CompileOptions::Target::GpuSim)
-    Prog->Eng = std::make_unique<GpuSimEngine>(Opts.Seed, Opts.Device,
-                                               Opts.Blk);
-  else if (Opts.NativeCpu)
-    Prog->Eng = std::make_unique<NativeEngine>(Opts.Seed);
-  else
-    Prog->Eng = std::make_unique<InterpEngine>(Opts.Seed);
-  if (Opts.Tgt == CompileOptions::Target::Cpu && Opts.Par.NumThreads != 1)
-    Prog->Eng->setParallel(&ThreadPool::global(Opts.Par.resolvedThreads()),
-                           Opts.Par);
   // Vector plan policy, resolved once per compile. Fault injection
   // counts as armed from either the options field or the environment:
   // the injector's probes live on the scalar interpreter paths, so
@@ -381,16 +398,18 @@ Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
   bool FaultsArmed = !Opts.FaultSpec.empty();
   if (const char *FS = std::getenv("AUGUR_FAULT_SPEC"))
     FaultsArmed = FaultsArmed || FS[0] != '\0';
-  Prog->Eng->setSimd(simd::resolveEnabled(
-      Opts.Simd, Opts.Tgt == CompileOptions::Target::Cpu,
-      Opts.Par.NumThreads == 1 ? 1 : Opts.Par.resolvedThreads(),
-      FaultsArmed));
-  std::string ChainPrefix = strFormat("chain%d/", Opts.ChainIndex);
-  Prog->Eng->setTelemetry(&Rec, ChainPrefix + "exec/");
-  Prog->SweepLJKey = ChainPrefix + "sweep/log_joint";
-  Prog->SweepCountKey = ChainPrefix + "sweep/count";
-  Env &E = Prog->Eng->env();
-  const Model &Parsed = Prog->DM.TM.M;
+  Resolved.Simd = simd::resolveEnabled(Opts.Simd, Cpu,
+                                       Opts.Par.NumThreads == 1
+                                           ? 1
+                                           : Opts.Par.resolvedThreads(),
+                                       FaultsArmed)
+                      ? simd::SimdMode::On
+                      : simd::SimdMode::Off;
+  Resolved.IncrementalFC = incrementalFCEnabled(Opts);
+
+  // The environment every chain starts from.
+  Env &E = A->Base;
+  const Model &Parsed = A->DM.TM.M;
   for (size_t I = 0; I < HyperArgs.size(); ++I)
     E[Parsed.Hypers[I]] = HyperArgs[I];
   for (const auto &KV : Data) {
@@ -408,52 +427,50 @@ Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
   // Factor dependency analysis + contribution table (CPU target). The
   // slice buffers and their evaluator procedures exist in BOTH cache
   // modes so the compiled program is identical with caching on or off;
-  // IncrementalFC only decides whether a FactorCache is attached.
+  // IncrementalFC only decides whether a chain attaches a FactorCache.
   size_t NumProcs = 1; // ll_joint
-  if (Opts.Tgt == CompileOptions::Target::Cpu) {
+  if (Cpu) {
     PhaseT0 = Recorder::nowNanos();
-    Prog->DG = std::make_unique<DepGraph>(Prog->DM);
+    A->DG = std::make_unique<DepGraph>(A->DM);
     EvalCtx ExtCtx(E);
-    for (size_t I = 0; I < Prog->DM.Joint.Factors.size(); ++I) {
-      const Factor &F = Prog->DM.Joint.Factors[I];
+    for (size_t I = 0; I < A->DM.Joint.Factors.size(); ++I) {
+      const Factor &F = A->DM.Joint.Factors[I];
       // Pre-allocate the slice buffer with its real extent: the native
       // backend would otherwise default missing outputs to scalars.
       int64_t Extent =
           F.Loops.empty() ? 1 : evalIntExpr(F.Loops[0].Hi, ExtCtx);
       E[fcSliceName(int(I))] = Value::realVec(
           BlockedReal::flat(std::max<int64_t>(Extent, 1), 0.0));
-      Prog->Eng->addProc(
-          genFactorSliceProc(fcProcName(int(I)), F, fcSliceName(int(I))));
+      A->Procs[fcProcName(int(I))] =
+          genFactorSliceProc(fcProcName(int(I)), F, fcSliceName(int(I)));
       ++NumProcs;
     }
     if (Rec.enabled()) {
       Rec.span("compile/depgraph", "compile", PhaseT0, Recorder::nowNanos(),
-               {{"factors", double(Prog->DM.Joint.Factors.size())},
-                {"mean_blanket", Prog->DG->meanBlanketSize()}});
-      for (const auto &Decl : Prog->DM.TM.M.Decls)
+               {{"factors", double(A->DM.Joint.Factors.size())},
+                {"mean_blanket", A->DG->meanBlanketSize()}});
+      for (const auto &Decl : A->DM.TM.M.Decls)
         if (Decl.Role == VarRole::Param)
           Rec.observe(ChainPrefix + "fc/blanket_size",
-                      double(Prog->DG->blanket(Decl.Name).size()));
+                      double(A->DG->blanket(Decl.Name).size()));
     }
   }
 
-  // Lower every base update to Low++ and register the procedures.
+  // Lower every base update to Low++.
   PhaseT0 = Recorder::nowNanos();
   int Index = 0;
-  for (const auto &U : Prog->Sched.Updates) {
-    AUGUR_ASSIGN_OR_RETURN(
-        CompiledUpdate CU,
-        compileUpdate(Prog->DM, U, Opts, *Prog->Eng, Index++,
-                      Prog->DG.get()));
-    CU.Keys.build(ChainPrefix, CU.U);
+  for (const auto &U : A->Sched.Updates) {
+    AUGUR_ASSIGN_OR_RETURN(CompiledUpdate CU,
+                           compileUpdate(A->DM, U, Opts, A->Procs, Index++,
+                                         A->DG.get()));
     NumProcs += (CU.GibbsProc.empty() ? 0 : 1) +
                 (CU.LLProc.empty() ? 0 : 1) + (CU.GradProc.empty() ? 0 : 1);
-    Prog->Updates.push_back(std::move(CU));
+    A->Updates.push_back(std::move(CU));
   }
 
   // Whole-model likelihood for diagnostics and acceptance checks.
-  Prog->Eng->addProc(genLikelihoodProc("ll_joint", Prog->DM.Joint.Factors,
-                                       "ll_ll_joint"));
+  A->Procs["ll_joint"] =
+      genLikelihoodProc("ll_joint", A->DM.Joint.Factors, "ll_ll_joint");
   if (Rec.enabled()) {
     Rec.span("compile/lowpp", "compile", PhaseT0, Recorder::nowNanos(),
              {{"procs", double(NumProcs)}});
@@ -462,16 +479,16 @@ Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
 
   // Contention-aware reduction planning (DESIGN.md section 16): with
   // the pool armed, decide atomic vs. map-reduce per AtmPar site now
-  // that all procedures are registered and extents have their runtime
-  // values. Sequential programs skip the pass — their accumulations
-  // are plain stores with nothing to privatize.
-  if (Opts.Tgt == CompileOptions::Target::Cpu &&
-      Opts.Par.NumThreads != 1) {
+  // that all procedures exist and extents have their runtime values.
+  // Sequential programs skip the pass — their accumulations are plain
+  // stores with nothing to privatize.
+  if (Cpu && Opts.Par.NumThreads != 1) {
     PhaseT0 = Recorder::nowNanos();
     CpuReduceOptions RO;
     RO.Mode = Resolved.Reduce;
-    CpuReduceReport RR =
-        static_cast<InterpEngine *>(Prog->Eng.get())->planReductions(RO);
+    CpuReduceReport RR;
+    for (auto &KV : A->Procs)
+      RR.merge(planCpuReductions(KV.second, E, RO));
     if (Rec.enabled()) {
       Rec.span("compile/reduce", "compile", PhaseT0, Recorder::nowNanos(),
                {{"mapreduce", double(RR.MapReduceSites)},
@@ -489,30 +506,24 @@ Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
     }
   }
 
-  if (Prog->DG && incrementalFCEnabled(Opts)) {
-    std::vector<FactorCache::Entry> Entries;
-    for (size_t I = 0; I < Prog->DM.Joint.Factors.size(); ++I)
-      Entries.push_back({fcProcName(int(I)), fcSliceName(int(I)),
-                         /*Partial=*/0.0, /*Dirty=*/true});
-    Prog->Cache =
-        std::make_unique<FactorCache>(*Prog->Eng, std::move(Entries));
-    Prog->FCEvalKey = ChainPrefix + "fc/factors_evaluated";
-    Prog->FCHitsKey = ChainPrefix + "fc/cache_hits";
-    Prog->FCBypKey = ChainPrefix + "fc/byproduct_refreshes";
-    Prog->FCMaintKey = ChainPrefix + "fc/maint_ns";
+  // Native backend: every update procedure whose C emits is built by
+  // host cc now, once; chains only bind to the modules. Shapes come
+  // from allocated (zero) parameters, so no RNG is consumed.
+  if (Cpu && Opts.NativeCpu) {
+    A->Native = std::make_shared<NativeModules>(
+        Opts.Par, Resolved.Simd == simd::SimdMode::On);
+    Env Shapes = E;
+    for (const auto &Decl : Parsed.Decls)
+      if (Decl.Role == VarRole::Param) {
+        AUGUR_ASSIGN_OR_RETURN(Shapes[Decl.Name],
+                               allocateVar(Decl, A->DM.TM, Shapes));
+      }
+    for (const auto &KV : A->Procs)
+      allocateOutputs(KV.second, Shapes);
+    for (const auto &CU : A->Updates)
+      for (const std::string *P : {&CU.GibbsProc, &CU.LLProc, &CU.GradProc})
+        if (!P->empty())
+          A->Native->get(A->Procs.at(*P), Shapes);
   }
-
-  // Observability plane: one streaming accumulator per model parameter
-  // (in declaration order, capped by DiagOptions::MaxVars). Both
-  // backends run MCMCProgram::step(), so the chain<k>/diag/* key set
-  // is identical interp-vs-native by construction.
-  if (Resolved.Diag.Enabled) {
-    Prog->Diag = std::make_unique<diag::ChainDiag>(
-        Resolved.Diag, Parsed.paramNames(), Opts.ChainIndex);
-    Prog->DiagDivKey = ChainPrefix + "diag/divergences";
-    Prog->DiagRetryKey = ChainPrefix + "diag/guard_retries";
-    Prog->DiagFallKey = ChainPrefix + "diag/guard_fallbacks";
-    Prog->DiagQuarKey = ChainPrefix + "diag/guard_quarantines";
-  }
-  return Prog;
+  return std::shared_ptr<const Artifact>(std::move(A));
 }

@@ -5,13 +5,17 @@
 /// typecheck against the actual argument types (AugurV2 compiles at
 /// runtime) -> Density IL -> Kernel IL (user schedule or heuristic) ->
 /// Low++ procedures per base update -> execution engine. The result is
-/// an MCMCProgram: a complete, runnable composite MCMC algorithm.
+/// an Artifact: the immutable compiled algorithm, built once and shared
+/// by any number of chains. Each MCMCProgram is one chain of it — the
+/// per-chain state (environment, RNG, factor cache, diagnostics,
+/// adaptation) held beside the shared artifact.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AUGUR_COMPILE_COMPILER_H
 #define AUGUR_COMPILE_COMPILER_H
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,9 +76,6 @@ struct CompileOptions {
   /// field. Telemetry never consumes RNG, so enabling it leaves the
   /// sample stream bit-identical.
   TelemetryConfig Telemetry;
-  /// Which chain this program belongs to; prefixes all runtime metric
-  /// keys ("chain<k>/...") and error messages from multi-chain runs.
-  int ChainIndex = 0;
   /// Cpu target only: maintain the running log joint incrementally via
   /// the factor-contribution cache (exec/FactorCache.h) instead of
   /// re-running ll_joint. Sample streams are bit-identical either way
@@ -111,23 +112,48 @@ struct CompileOptions {
   diag::DiagOptions Diag;
 };
 
-/// A compiled, executable composite MCMC algorithm.
+class NativeModules;
+
+/// The immutable result of compiling one (model, query) pair: everything
+/// the chains of it share. Built once by Compiler::compile and held by
+/// shared_ptr<const Artifact>; chains keep their state beside it.
+struct Artifact {
+  std::string Source; ///< model source (keys checkpoint fingerprints)
+  /// Env overrides and the Simd / IncrementalFC policies resolved.
+  CompileOptions Opts;
+  DensityModel DM;
+  KernelSchedule Sched;
+  std::unique_ptr<DepGraph> DG; ///< CPU target only
+  /// The Low++ procedures by name, after reduce planning.
+  std::map<std::string, LowppProc> Procs;
+  /// One template per base update: procedure names, transforms, and
+  /// the factor-cache contract. Stats, guard state and telemetry keys
+  /// are filled in per chain.
+  std::vector<CompiledUpdate> Updates;
+  /// The environment every chain starts from: hyper-parameters, data,
+  /// and the factor slice buffers.
+  Env Base;
+  /// NativeCpu only: the update procedures, built by host cc at compile
+  /// time; ll_joint and llfac_* build on first use.
+  std::shared_ptr<NativeModules> Native;
+};
+
+/// One chain of a compiled artifact: a complete, runnable composite
+/// MCMC algorithm. Owns the per-chain state — environment, RNG,
+/// interpreter and vector plans, factor cache, diagnostics, per-update
+/// adaptation — and shares everything else with the other chains of
+/// its artifact.
 class MCMCProgram {
 public:
-  /// Initializes the parameter state by forward-sampling the priors
-  /// (data must already be bound). Must be called before step().
-  Status init();
+  /// Builds chain \p ChainIndex of \p A with RNG seed \p Seed. No
+  /// compilation happens, and compilation consumes no RNG, so the chain
+  /// is exactly what compiling afresh with that seed would give.
+  MCMCProgram(std::shared_ptr<const Artifact> A, uint64_t Seed,
+              int ChainIndex);
 
-  /// Rewinds a compiled program so it can serve a fresh sampling
-  /// request without recompiling (the compile-once/serve-many path,
-  /// DESIGN.md section 13): reseeds the RNG, rebinds the chain's
-  /// telemetry keys to \p ChainIndex, and resets every per-update
-  /// adaptation (HMC step size back to the compiled options, acceptance
-  /// counters, guard state). Followed by init(), the program reproduces
-  /// the sample stream of a fresh compile with
-  /// CompileOptions{Seed, ChainIndex} bit-identically — compilation
-  /// itself never consumes RNG, so skipping it is unobservable.
-  Status resetForReuse(uint64_t Seed, int ChainIndex);
+  /// Initializes the parameter state by forward-sampling the priors.
+  /// Must be called before step().
+  Status init();
 
   /// Runs one full sweep: every base update once, in schedule order.
   Status step();
@@ -148,7 +174,7 @@ public:
   FactorCache *factorCache() { return Cache.get(); }
 
   /// The factor dependency graph (CPU target), or nullptr.
-  const DepGraph *depGraph() const { return DG.get(); }
+  const DepGraph *depGraph() const { return Art->DG.get(); }
 
   /// The streaming convergence diagnostics of this chain, or nullptr
   /// when CompileOptions::Diag left them disabled.
@@ -156,22 +182,19 @@ public:
 
   Env &state() { return Eng->env(); }
   Engine &engine() { return *Eng; }
-  const DensityModel &densityModel() const { return DM; }
-  const KernelSchedule &schedule() const { return Sched; }
+  const Artifact &artifact() const { return *Art; }
+  const DensityModel &densityModel() const { return Art->DM; }
+  const KernelSchedule &schedule() const { return Art->Sched; }
   std::vector<CompiledUpdate> &updates() { return Updates; }
-  /// The options this program was compiled with (env overrides already
-  /// folded in).
-  const CompileOptions &options() const { return Opts; }
+  uint64_t seed() const { return Seed; }
+  int chainIndex() const { return ChainIndex; }
 
 private:
-  friend class Compiler;
-
+  std::shared_ptr<const Artifact> Art;
+  uint64_t Seed;
+  int ChainIndex;
   std::unique_ptr<Engine> Eng;
-  DensityModel DM;
-  KernelSchedule Sched;
   std::vector<CompiledUpdate> Updates;
-  CompileOptions Opts;
-  std::unique_ptr<DepGraph> DG;      ///< CPU target only
   std::unique_ptr<FactorCache> Cache;///< CPU target + IncrementalFC
   std::string SweepLJKey;    ///< "chain<k>/sweep/log_joint"
   std::string SweepCountKey; ///< "chain<k>/sweep/count"
@@ -197,21 +220,9 @@ public:
   /// Compiles \p ModelSrc given the hyper-parameter values \p HyperArgs
   /// (in the order of the model's formals) and the observed \p Data
   /// (by variable name). Mirrors aug.compile(args...)(data) of Fig. 2.
-  static Result<std::unique_ptr<MCMCProgram>>
+  static Result<std::shared_ptr<const Artifact>>
   compile(const std::string &ModelSrc, const CompileOptions &Opts,
           const std::vector<Value> &HyperArgs, const Env &Data);
-
-  /// Generates the Low++ procedures for one base update and registers
-  /// them on \p Eng, returning the driver-facing handle. Exposed so the
-  /// extensibility test can drive it directly. When \p DG is given the
-  /// update also declares its factor-cache contract (DirtyIds, and for
-  /// enumerated Gibbs the slice buffers it refreshes as a byproduct of
-  /// scoring).
-  static Result<CompiledUpdate> compileUpdate(const DensityModel &DM,
-                                              const BaseUpdate &U,
-                                              const CompileOptions &Opts,
-                                              Engine &Eng, int Index,
-                                              const DepGraph *DG = nullptr);
 };
 
 } // namespace augur

@@ -55,22 +55,13 @@ ChainDiag::ChainDiag(const DiagOptions &O, std::vector<std::string> Vars,
     this->Vars.resize(size_t(Opts.MaxVars));
   Stats.assign(this->Vars.size(),
                StreamingDiag(Opts.MaxSegments, Opts.MaxLag));
-  rebind(ChainIndex);
-}
-
-void ChainDiag::rebind(int ChainIndex) {
   std::string Prefix = "chain" + std::to_string(ChainIndex) + "/diag/";
-  RhatKeys.clear();
-  EssKeys.clear();
-  RhatKeys.reserve(Vars.size());
-  EssKeys.reserve(Vars.size());
-  for (const std::string &V : Vars) {
+  RhatKeys.reserve(this->Vars.size());
+  EssKeys.reserve(this->Vars.size());
+  for (const std::string &V : this->Vars) {
     RhatKeys.push_back(Prefix + "rhat/" + V);
     EssKeys.push_back(Prefix + "ess/" + V);
   }
-  for (StreamingDiag &S : Stats)
-    S.reset();
-  NumSweeps = 0;
 }
 
 void ChainDiag::observeSweep(const Env &E) {

@@ -56,10 +56,6 @@ public:
   ChainDiag(const DiagOptions &O, std::vector<std::string> Vars,
             int ChainIndex);
 
-  /// Drops all accumulated state and re-prefixes the telemetry keys
-  /// for \p ChainIndex (the resetForReuse path of the serve daemon).
-  void rebind(int ChainIndex);
-
   /// Ingests the post-sweep state: one diagScalar per monitored
   /// variable (variables absent from \p E are skipped).
   void observeSweep(const Env &E);

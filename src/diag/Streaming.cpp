@@ -60,16 +60,6 @@ StreamingDiag::StreamingDiag(int MaxSegments, int MaxLag)
   Segs.reserve(size_t(MaxSegs));
 }
 
-void StreamingDiag::reset() {
-  Total = Welford();
-  Sum = 0.0;
-  SegCap = 1;
-  Segs.clear();
-  Head.clear();
-  std::fill(Ring.begin(), Ring.end(), 0.0);
-  std::fill(LagProd.begin(), LagProd.end(), 0.0);
-}
-
 void StreamingDiag::push(double X) {
   uint64_t N = Total.N; // index of X in the stream
   uint64_t L = uint64_t(MaxLag);

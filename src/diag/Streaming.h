@@ -80,9 +80,6 @@ public:
   /// Ingests the value of sweep count() (0-based).
   void push(double X);
 
-  /// Forgets everything (resetForReuse of the serving path).
-  void reset();
-
   uint64_t count() const { return Total.N; }
   double mean() const { return Total.Mean; }
   double variance() const { return Total.variance(); }

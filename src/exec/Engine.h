@@ -36,9 +36,6 @@ public:
   /// Registers a procedure (engines may lower it further).
   virtual void addProc(LowppProc P) = 0;
 
-  /// True if a procedure named \p Name is registered.
-  virtual bool hasProc(const std::string &Name) const = 0;
-
   /// Attaches the parallel runtime: Par/AtmPar loops (and, for the
   /// native engine, emitted C loops) execute over \p Pool with the
   /// configured grain. Default is a no-op (engine stays sequential).
@@ -77,9 +74,6 @@ public:
   Env &env() override { return Globals; }
   RNG &rng() override { return Rng; }
   void addProc(LowppProc P) override;
-  bool hasProc(const std::string &Name) const override {
-    return Procs.count(Name) != 0;
-  }
   void setParallel(ThreadPool *Pool, const ParallelConfig &Cfg) override {
     I.setParallel(Pool, Cfg.Grain);
     PooledMode = Pool != nullptr;
@@ -101,14 +95,13 @@ public:
   /// planCpuReductions) over every registered procedure against the
   /// current environment. Call once after data binding and procedure
   /// registration: the pass evaluates loop extents at their runtime
-  /// values. The native engine compiles modules lazily, so annotations
-  /// placed here are visible to the C emitter as well.
+  /// values. A standalone native engine builds its modules on first
+  /// run, so annotations placed here reach the C emitter as well.
   CpuReduceReport planReductions(const CpuReduceOptions &O);
 
   const LowppProc &proc(const std::string &Name) const {
     return Procs.at(Name);
   }
-  ExecCounters &counters() { return I.counters(); }
   Recorder *telemetry() const { return I.telemetry(); }
   const ExecTelemetryKeys &telemetryKeys() const { return I.telemetryKeys(); }
 

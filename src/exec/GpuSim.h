@@ -70,9 +70,6 @@ public:
   Env &env() override { return Globals; }
   RNG &rng() override { return Rng; }
   void addProc(LowppProc P) override;
-  bool hasProc(const std::string &Name) const override {
-    return Procs.count(Name) != 0;
-  }
 
   /// Total modeled device seconds since the last reset.
   double modeledSeconds() const { return TotalSeconds; }

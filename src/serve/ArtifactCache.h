@@ -111,17 +111,6 @@ public:
     return E->Art;
   }
 
-  /// Drops \p Key if resident (e.g. after a request poisoned the
-  /// artifact's runtime state). In-flight leases stay valid.
-  void remove(uint64_t Key) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Entries.find(Key);
-    if (It == Entries.end() || !It->second->Ready)
-      return;
-    Lru.remove(Key);
-    Entries.erase(It);
-  }
-
   size_t size() const {
     std::lock_guard<std::mutex> Lock(Mu);
     return Entries.size();

@@ -165,9 +165,9 @@ Json byeFrame(uint64_t Id);
 /// Cache key of the compiled artifact a request needs: an FNV-1a hash
 /// of the model source, schedule, backend choice, pool width, and the
 /// canonical encoding of args + data. Seed and query fields are
-/// excluded on purpose — a cached program is reseeded per request
-/// (MCMCProgram::resetForReuse), so two requests for the same model
-/// with different seeds share one artifact.
+/// excluded on purpose — every request builds its own seeded chains
+/// of the cached artifact, so two requests for the same model with
+/// different seeds share one artifact.
 uint64_t artifactKey(const SampleRequest &R);
 
 //===----------------------------------------------------------------------===//

@@ -33,21 +33,19 @@ using namespace augur::serve;
 // Shared chain loop
 //===----------------------------------------------------------------------===//
 
-Status augur::serve::runRequestChains(MCMCProgram &Prog,
+Status augur::serve::runRequestChains(const std::shared_ptr<const Artifact> &A,
                                       const SampleRequest &SR,
-                                      const std::string &Source,
                                       const ChainDrawSink &OnDraw,
                                       const ChainDoneFn &OnChainDone) {
   int Chains = SR.Chains < 1 ? 1 : SR.Chains;
   for (int C = 0; C < Chains; ++C) {
-    // Bit-identity contract: chain c is reset to seed philoxMix(Seed, c)
-    // with chain index c — the exact options Infer::sampleChains
-    // compiles chain c with — so any attempt (in-process, sandboxed,
-    // retried, hedged) replays the same stream.
-    AUGUR_RETURN_IF_ERROR(
-        Prog.resetForReuse(philoxMix(SR.Seed, uint64_t(C)), C));
+    // Bit-identity contract: chain c is built with seed
+    // philoxMix(Seed, c) and chain index c — the chain Infer::sampleChains
+    // builds — so any attempt (in-process, sandboxed, retried, hedged)
+    // replays the same stream.
+    MCMCProgram Chain(A, philoxMix(SR.Seed, uint64_t(C)), C);
     try {
-      AUGUR_RETURN_IF_ERROR(Prog.init());
+      AUGUR_RETURN_IF_ERROR(Chain.init());
     } catch (...) {
       return execFaultStatus("init");
     }
@@ -63,7 +61,7 @@ Status augur::serve::runRequestChains(MCMCProgram &Prog,
                     double LogJoint) -> Status {
       return OnDraw(C, Index, Names, Row, LogJoint);
     };
-    AUGUR_ASSIGN_OR_RETURN(SampleSet Set, sampleProgram(Prog, SO, Source));
+    AUGUR_ASSIGN_OR_RETURN(SampleSet Set, collectSamples(Chain, SO));
     if (OnChainDone)
       OnChainDone(C, Set);
   }
@@ -382,7 +380,8 @@ void installRlimits(const SandboxOptions &SO) {
 
 /// Everything that runs in the forked worker. Never returns: the child
 /// always leaves through _exit (or a crash, which is the point).
-[[noreturn]] void workerChildMain(ServedModel &M, const SampleRequest &SR,
+[[noreturn]] void workerChildMain(const std::shared_ptr<const Artifact> &A,
+                                  const SampleRequest &SR,
                                   uint64_t ReqId, const SandboxOptions &SO,
                                   DrawChannel &Ch) {
 #ifdef __linux__
@@ -394,8 +393,9 @@ void installRlimits(const SandboxOptions &SO) {
   // lock another daemon thread held at the fork instant is permanently
   // unusable: the recorder flips off lock-free, the pool registry and
   // fault injector swap in fresh mutexes, and nothing else in the
-  // sampling path takes daemon locks (the artifact is a private CoW
-  // copy, so even the per-artifact mutex is unnecessary here).
+  // sampling path takes daemon locks (the artifact's native module set
+  // locks only while building a module, which the daemon never does
+  // for an artifact it sandboxes once the artifact is cached).
   Recorder::global().disableInForkedChild();
   ThreadPool::resetAfterFork();
   robust::FaultInjector::global().reinitAfterFork();
@@ -413,7 +413,7 @@ void installRlimits(const SandboxOptions &SO) {
   Status St = Status::success();
   try {
     St = runRequestChains(
-        *M.Prog, SR, M.Source,
+        A, SR,
         [&](int Chain, uint64_t Index, const std::vector<std::string> &Names,
             const std::vector<const Value *> &Row, double LogJoint) -> Status {
           if (SO.HasDeadline &&
@@ -468,7 +468,8 @@ void installRlimits(const SandboxOptions &SO) {
 //===----------------------------------------------------------------------===//
 
 Result<WorkerResult> augur::serve::runSandboxed(
-    ServedModel &M, const SampleRequest &SR, uint64_t ReqId,
+    const std::shared_ptr<const Artifact> &A, const SampleRequest &SR,
+    uint64_t ReqId,
     const SandboxOptions &SO, StreamCursor &Cursor,
     const std::function<Status(const std::string &FrameJson)> &Forward,
     const std::function<bool()> &KeepGoing) {
@@ -480,7 +481,7 @@ Result<WorkerResult> augur::serve::runSandboxed(
         strFormat("sandbox: fork failed: %s", std::strerror(errno)));
   if (Pid == 0) {
     Ch.childAfterFork();
-    workerChildMain(M, SR, ReqId, SO, Ch); // noreturn
+    workerChildMain(A, SR, ReqId, SO, Ch); // noreturn
   }
   Ch.parentAfterFork();
 

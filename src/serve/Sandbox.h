@@ -130,17 +130,18 @@ using ChainDrawSink = std::function<Status(
 using ChainDoneFn = std::function<void(int Chain, const SampleSet &Set)>;
 
 /// The chain loop both execution paths share — the in-process fast path
-/// in Server::runSample and the sandbox child — so a hedged or retried
-/// attempt replays the exact per-chain reseed (philoxMix(Seed, c)) and
-/// draw schedule the first attempt ran: the streams are bit-identical
-/// by construction, which is what makes retry/hedge substitution sound.
-Status runRequestChains(MCMCProgram &Prog, const SampleRequest &SR,
-                        const std::string &Source,
+/// in Server::serveInProcess and the sandbox child — so a hedged or
+/// retried attempt builds the exact chains (seed philoxMix(Seed, c),
+/// chain index c) and draw schedule the first attempt ran: the streams
+/// are bit-identical by construction, which is what makes retry/hedge
+/// substitution sound.
+Status runRequestChains(const std::shared_ptr<const Artifact> &A,
+                        const SampleRequest &SR,
                         const ChainDrawSink &OnDraw,
                         const ChainDoneFn &OnChainDone = nullptr);
 
-/// Runs one sandboxed attempt of \p SR against the (unlocked, CoW)
-/// artifact \p M: forks a worker, relays its draw frames through
+/// Runs one sandboxed attempt of \p SR against the (CoW-inherited)
+/// artifact \p A: forks a worker, relays its draw frames through
 /// \p Forward (raw frame JSON, written to the client verbatim; a failed
 /// write means the client is gone), filters the already-forwarded
 /// prefix via \p Cursor, and reaps the worker. \p KeepGoing is polled
@@ -149,7 +150,8 @@ Status runRequestChains(MCMCProgram &Prog, const SampleRequest &SR,
 /// the Result error is reserved for parent-side setup failures (pipe /
 /// mmap / fork exhaustion).
 Result<WorkerResult>
-runSandboxed(ServedModel &M, const SampleRequest &SR, uint64_t ReqId,
+runSandboxed(const std::shared_ptr<const Artifact> &A,
+             const SampleRequest &SR, uint64_t ReqId,
              const SandboxOptions &SO, StreamCursor &Cursor,
              const std::function<Status(const std::string &FrameJson)> &Forward,
              const std::function<bool()> &KeepGoing);

@@ -656,35 +656,62 @@ void Server::workerLoop() {
   }
 }
 
-/// Runs every chain of a sample job against the locked artifact,
-/// streaming draws (the in-process execution path: isolation off, the
-/// interpreter backend, or the hedge fallback after worker crashes).
-/// Draws already forwarded by a sandboxed attempt — tracked by \p Cur —
-/// are skipped: the chain loop replays bit-identical streams, so the
-/// client sees one seamless sequence.
-Status Server::runInProcess(Job &J, ServedModel &M, StreamCursor &Cur) {
+/// Runs every chain of a sample job on fresh chains of the artifact,
+/// streaming draws, then sends the job's terminal frame (the in-process
+/// execution path: isolation off, the interpreter backend, or the hedge
+/// fallback after worker crashes). Draws already forwarded by a
+/// sandboxed attempt — tracked by \p Cur — are skipped: the chain loop
+/// replays bit-identical streams, so the client sees one seamless
+/// sequence.
+void Server::serveInProcess(Job &J, const std::shared_ptr<const Artifact> &A,
+                            StreamCursor &Cur, bool CompiledHere,
+                            uint64_t T0) {
+  const SampleRequest &SR = J.Req.Sample;
+  const uint64_t Trace = J.Req.Trace;
   Recorder &Rec = Recorder::global();
-  return runRequestChains(
-      *M.Prog, J.Req.Sample, M.Source,
-      [&](int C, uint64_t Index, const std::vector<std::string> &Names,
-          const std::vector<const Value *> &Row, double LogJoint) -> Status {
-        if (J.HasDeadline && std::chrono::steady_clock::now() >= J.DeadlineAt)
-          return Status::error("deadline exceeded");
-        if (!J.C->Alive.load(std::memory_order_relaxed))
-          return Status::error("client disconnected");
-        if (!Cur.shouldForward(C, int64_t(Index)))
-          return Status::success(); // already streamed by a dead worker
-        Json F = drawFrame(J.Req.Id, C, Index, Names, Row, LogJoint);
-        std::lock_guard<std::mutex> Lock(J.C->WriteMu);
-        Status St = writeJsonFrame(J.C->Fd, F);
-        if (!St.ok()) {
-          J.C->Alive.store(false, std::memory_order_relaxed);
-          return Status::error("client disconnected");
-        }
-        Cur.advance(C);
-        Rec.count("serve/draws");
-        return Status::success();
-      });
+  Status St;
+  {
+    ScopedSpan SampleSpan(Rec, "serve/sample", "serve");
+    SampleSpan.arg("trace_id", double(Trace));
+    St = runRequestChains(
+        A, SR,
+        [&](int C, uint64_t Index, const std::vector<std::string> &Names,
+            const std::vector<const Value *> &Row,
+            double LogJoint) -> Status {
+          if (J.HasDeadline &&
+              std::chrono::steady_clock::now() >= J.DeadlineAt)
+            return Status::error("deadline exceeded");
+          if (!J.C->Alive.load(std::memory_order_relaxed))
+            return Status::error("client disconnected");
+          if (!Cur.shouldForward(C, int64_t(Index)))
+            return Status::success(); // already streamed by a dead worker
+          Json F = drawFrame(J.Req.Id, C, Index, Names, Row, LogJoint);
+          std::lock_guard<std::mutex> Lock(J.C->WriteMu);
+          Status WSt = writeJsonFrame(J.C->Fd, F);
+          if (!WSt.ok()) {
+            J.C->Alive.store(false, std::memory_order_relaxed);
+            return Status::error("client disconnected");
+          }
+          Cur.advance(C);
+          Rec.count("serve/draws");
+          return Status::success();
+        });
+  }
+  double Ms = double(Recorder::nowNanos() - T0) / 1e6;
+  Rec.observe("serve/latency_ms", Ms);
+  if (!St.ok()) {
+    ErrorCode Code = ErrorCode::ExecError;
+    if (J.HasDeadline && std::chrono::steady_clock::now() >= J.DeadlineAt)
+      Code = ErrorCode::Deadline;
+    sendError(*J.C, J.Req.Id, Code, St.message(), Trace);
+    logAccess("sample", J.Req.Id, Trace, errorCodeName(Code), Ms,
+              CompiledHere ? 0 : 1);
+    return;
+  }
+  sendFrame(*J.C, doneFrame(J.Req.Id, SR.Chains < 1 ? 1 : SR.Chains,
+                            SR.NumSamples, /*CacheHit=*/!CompiledHere, Ms,
+                            Trace));
+  logAccess("sample", J.Req.Id, Trace, "ok", Ms, CompiledHere ? 0 : 1);
 }
 
 bool Server::sandboxEligible(const SampleRequest &SR) const {
@@ -730,11 +757,10 @@ void Server::publishWorkerDiag(const Json &Diag) {
 
 /// The crash-isolated serving policy (DESIGN.md section 17): breaker
 /// admission, bounded worker herd, fork + relay, per-request retries
-/// with exponential backoff, and the interpreter hedge. Runs without
-/// M->Mu — the worker samples a private copy-on-write image of the
-/// artifact, so sandboxed requests for one hot model proceed in
-/// parallel and a crashed worker cannot have corrupted the cached copy.
-void Server::serveSampleIsolated(Job J, std::shared_ptr<ServedModel> M,
+/// with exponential backoff, and the interpreter hedge. The worker
+/// samples fresh chains of a private copy-on-write image of the
+/// artifact, so a crashed worker cannot have corrupted the cached copy.
+void Server::serveSampleIsolated(Job J, std::shared_ptr<const Artifact> Art,
                                  uint64_t Key, bool CompiledHere,
                                  uint64_t T0) {
   const SampleRequest &SR = J.Req.Sample;
@@ -821,7 +847,7 @@ void Server::serveSampleIsolated(Job J, std::shared_ptr<ServedModel> M,
       SO.RingBytes = Opts.SandboxRingBytes;
       SO.ForcePipe = Opts.SandboxPipe;
       Result<WorkerResult> WRr = runSandboxed(
-          *M, SR, J.Req.Id, SO, Cur,
+          Art, SR, J.Req.Id, SO, Cur,
           [&](const std::string &Frame) -> Status {
             std::lock_guard<std::mutex> Lock(J.C->WriteMu);
             Status St = writeFrame(J.C->Fd, Frame);
@@ -914,23 +940,9 @@ void Server::serveSampleIsolated(Job J, std::shared_ptr<ServedModel> M,
   // quarantined while its interpreted twin serves.
   SampleRequest SR2 = SR;
   SR2.NativeCpu = false;
-  uint64_t Key2 = artifactKey(SR2);
-  Result<std::shared_ptr<ServedModel>> HedgeR = Cache.acquire(
-      Key2, [&]() -> Result<std::shared_ptr<ServedModel>> {
-        ScopedSpan CompileSpan(Rec, "serve/compile", "serve");
-        CompileSpan.arg("trace_id", double(Trace));
-        auto HM = std::make_shared<ServedModel>();
-        HM->Source = SR2.Model;
-        CompileOptions CO;
-        CO.NativeCpu = false;
-        CO.UserSchedule = SR2.Schedule;
-        CO.Seed = SR2.Seed;
-        CO.Par.NumThreads = SR2.Threads;
-        CO.Diag.Enabled = Opts.Diag;
-        AUGUR_ASSIGN_OR_RETURN(
-            HM->Prog, Compiler::compile(SR2.Model, CO, SR2.Args, SR2.Data));
-        return HM;
-      });
+  bool HedgeCompiled = false;
+  Result<std::shared_ptr<const Artifact>> HedgeR =
+      acquireArtifact(SR2, artifactKey(SR2), Trace, HedgeCompiled);
   if (!HedgeR.ok()) {
     if (Crashes > 0) {
       Json Detail = Json::object();
@@ -946,21 +958,27 @@ void Server::serveSampleIsolated(Job J, std::shared_ptr<ServedModel> M,
     }
     return;
   }
-  std::shared_ptr<ServedModel> HM = HedgeR.take();
+  serveInProcess(J, HedgeR.value(), Cur, CompiledHere, T0);
+}
 
-  Status St;
-  {
-    std::lock_guard<std::mutex> Lock(HM->Mu);
-    ScopedSpan SampleSpan(Rec, "serve/sample", "serve");
-    SampleSpan.arg("trace_id", double(Trace));
-    St = runInProcess(J, *HM, Cur);
-  }
-  if (!St.ok()) {
-    finishErr(pastDeadline() ? ErrorCode::Deadline : ErrorCode::ExecError,
-              St.message(), Json());
-    return;
-  }
-  finishOk();
+Result<std::shared_ptr<const Artifact>>
+Server::acquireArtifact(const SampleRequest &SR, uint64_t Key, uint64_t Trace,
+                        bool &CompiledHere) {
+  return Cache.acquire(
+      Key, [&]() -> Result<std::shared_ptr<const Artifact>> {
+        CompiledHere = true;
+        ScopedSpan CompileSpan(Recorder::global(), "serve/compile", "serve");
+        CompileSpan.arg("trace_id", double(Trace));
+        CompileOptions CO;
+        CO.NativeCpu = SR.NativeCpu;
+        CO.UserSchedule = SR.Schedule;
+        CO.Par.NumThreads = SR.Threads;
+        // Served artifacts carry the streaming diagnostics plane so
+        // /metrics publishes per-variable R-hat/ESS for every hot model
+        // (AUGUR_DIAG still overrides either way).
+        CO.Diag.Enabled = Opts.Diag;
+        return Compiler::compile(SR.Model, CO, SR.Args, SR.Data);
+      });
 }
 
 void Server::serveSample(Job J) {
@@ -981,26 +999,8 @@ void Server::serveSample(Job J) {
 
   uint64_t Key = artifactKey(SR);
   bool CompiledHere = false;
-  Result<std::shared_ptr<ServedModel>> ModelR = Cache.acquire(
-      Key, [&]() -> Result<std::shared_ptr<ServedModel>> {
-        CompiledHere = true;
-        ScopedSpan CompileSpan(Rec, "serve/compile", "serve");
-        CompileSpan.arg("trace_id", double(Trace));
-        auto M = std::make_shared<ServedModel>();
-        M->Source = SR.Model;
-        CompileOptions CO;
-        CO.NativeCpu = SR.NativeCpu;
-        CO.UserSchedule = SR.Schedule;
-        CO.Seed = SR.Seed; // overwritten per chain by resetForReuse
-        CO.Par.NumThreads = SR.Threads;
-        // Served artifacts carry the streaming diagnostics plane so
-        // /metrics publishes per-variable R-hat/ESS for every hot model
-        // (AUGUR_DIAG still overrides either way).
-        CO.Diag.Enabled = Opts.Diag;
-        AUGUR_ASSIGN_OR_RETURN(
-            M->Prog, Compiler::compile(SR.Model, CO, SR.Args, SR.Data));
-        return M;
-      });
+  Result<std::shared_ptr<const Artifact>> ModelR =
+      acquireArtifact(SR, Key, Trace, CompiledHere);
   if (!ModelR.ok()) {
     sendError(*J.C, J.Req.Id, ErrorCode::CompileError, ModelR.message(),
               Trace);
@@ -1008,39 +1008,14 @@ void Server::serveSample(Job J) {
               double(Recorder::nowNanos() - T0) / 1e6, CompiledHere ? 0 : 1);
     return;
   }
-  std::shared_ptr<ServedModel> M = ModelR.take();
+  std::shared_ptr<const Artifact> A = ModelR.take();
   Rec.count(CompiledHere ? "serve/cache_miss" : "serve/cache_hit");
 
   if (sandboxEligible(SR)) {
-    serveSampleIsolated(std::move(J), std::move(M), Key, CompiledHere, T0);
+    serveSampleIsolated(std::move(J), std::move(A), Key, CompiledHere, T0);
     return;
   }
 
-  Status St;
   StreamCursor Cur(SR.Chains < 1 ? 1 : SR.Chains);
-  {
-    // Serialize on this artifact's chain state; requests for other
-    // models keep sampling on the other workers.
-    std::lock_guard<std::mutex> Lock(M->Mu);
-    ScopedSpan SampleSpan(Rec, "serve/sample", "serve");
-    SampleSpan.arg("trace_id", double(Trace));
-    St = runInProcess(J, *M, Cur);
-  }
-  double Ms = double(Recorder::nowNanos() - T0) / 1e6;
-  Rec.observe("serve/latency_ms", Ms);
-
-  if (!St.ok()) {
-    ErrorCode Code = ErrorCode::ExecError;
-    if (J.HasDeadline && std::chrono::steady_clock::now() >= J.DeadlineAt)
-      Code = ErrorCode::Deadline;
-    sendError(*J.C, J.Req.Id, Code, St.message(), Trace);
-    logAccess("sample", J.Req.Id, Trace,
-              Code == ErrorCode::Deadline ? "deadline" : "exec-error", Ms,
-              CompiledHere ? 0 : 1);
-    return;
-  }
-  int Chains = SR.Chains < 1 ? 1 : SR.Chains;
-  sendFrame(*J.C, doneFrame(J.Req.Id, Chains, SR.NumSamples,
-                            /*CacheHit=*/!CompiledHere, Ms, Trace));
-  logAccess("sample", J.Req.Id, Trace, "ok", Ms, CompiledHere ? 0 : 1);
+  serveInProcess(J, A, Cur, CompiledHere, T0);
 }

@@ -22,19 +22,17 @@
 ///     a structured `overloaded` error instead of building unbounded
 ///     backlog).
 ///
-/// Each cached artifact carries its own mutex, so two requests for the
-/// SAME model serialize on its chain state while requests for different
-/// models sample concurrently. Draws stream back frame-by-frame as they
-/// are retained; the per-draw sink also enforces the request deadline
-/// and client-disconnect abort.
+/// A cached artifact is immutable: every request builds fresh chains of
+/// it (the chain constructor Infer::sampleChains uses), so requests for
+/// the same model sample concurrently, with no lock between them. Draws
+/// stream back frame-by-frame as they are retained; the per-draw sink
+/// also enforces the request deadline and client-disconnect abort.
 ///
 /// Fault isolation: a sampling fault (including injected worker faults,
 /// robust/FaultInject.h) is caught at the api boundary and surfaced as
 /// an `exec-error` frame for that request only; the daemon and all
-/// other in-flight requests are unaffected, and the artifact is safely
-/// reusable because every request begins with
-/// MCMCProgram::resetForReuse + init(), which rebuilds the chain state
-/// from scratch.
+/// other in-flight requests are unaffected, and the artifact stays
+/// reusable because no request writes to it.
 ///
 /// Crash isolation (DESIGN.md section 17): requests selected by
 /// ServerOptions::Isolation additionally run in forked sandbox workers
@@ -156,15 +154,6 @@ struct ServerOptions {
   bool SandboxPipe = false;
 };
 
-/// A compiled model plus the lock that serializes sampling on its chain
-/// state. shared_ptr leases from the cache keep it alive across
-/// eviction while a request is still running.
-struct ServedModel {
-  std::mutex Mu;
-  std::unique_ptr<MCMCProgram> Prog;
-  std::string Source; ///< model source (keys checkpoint fingerprints)
-};
-
 /// The always-on inference daemon.
 class Server {
 public:
@@ -244,12 +233,19 @@ private:
   /// The crash-isolated execution policy: supervised fork + relay,
   /// retry with backoff, interpreter hedge, circuit breaker. Sends the
   /// request's terminal frame and access-log line itself.
-  void serveSampleIsolated(Job J, std::shared_ptr<ServedModel> M,
+  void serveSampleIsolated(Job J, std::shared_ptr<const Artifact> Art,
                            uint64_t Key, bool CompiledHere, uint64_t T0);
+  /// The cached artifact \p SR needs (cache key \p Key), compiled on a
+  /// miss (sets \p CompiledHere when this call compiled it).
+  Result<std::shared_ptr<const Artifact>>
+  acquireArtifact(const SampleRequest &SR, uint64_t Key, uint64_t Trace,
+                  bool &CompiledHere);
   /// In-process chain execution, forwarding draws past \p Cur (a fresh
   /// cursor forwards everything; a hedge resuming after a dead worker
-  /// skips the already-forwarded prefix).
-  Status runInProcess(Job &J, ServedModel &M, StreamCursor &Cur);
+  /// skips the already-forwarded prefix). Sends the terminal frame and
+  /// access-log line itself.
+  void serveInProcess(Job &J, const std::shared_ptr<const Artifact> &A,
+                      StreamCursor &Cur, bool CompiledHere, uint64_t T0);
   /// Republishes a completed worker's R-hat/ESS payload as chain<k>
   /// diag gauges (the worker's own recorder is disabled post-fork).
   void publishWorkerDiag(const Json &Diag);
@@ -272,7 +268,7 @@ private:
                  const char *Code, double ElapsedMillis, int CacheHit);
 
   ServerOptions Opts;
-  mutable ArtifactCache<ServedModel> Cache;
+  mutable ArtifactCache<const Artifact> Cache;
   std::unique_ptr<Supervisor> Super; ///< worker herd + circuit breakers
 
   int ListenFd = -1;

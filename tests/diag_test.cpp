@@ -232,12 +232,6 @@ TEST(DiagStreaming, EdgeCasesAreDefined) {
   StreamingDiag C = streamOf(std::vector<double>(64, 3.25));
   EXPECT_TRUE(std::isnan(C.rhat()));
   EXPECT_DOUBLE_EQ(C.ess(), 64.0);
-
-  // reset() forgets everything.
-  StreamingDiag R = streamOf(ar1Chain(100, 0.5, 61));
-  R.reset();
-  EXPECT_EQ(R.count(), 0u);
-  EXPECT_TRUE(std::isnan(R.rhat()));
 }
 
 TEST(DiagStreaming, SplitPointStaysNearHalf) {
@@ -297,17 +291,6 @@ TEST(DiagChain, PublishesStableKeySchema) {
   EXPECT_EQ(G.count("chain0/diag/rhat/pi"), 1u);
   EXPECT_EQ(G.count("chain0/diag/ess/mu"), 1u);
   EXPECT_EQ(G.count("chain0/diag/ess/pi"), 1u);
-
-  // rebind() re-prefixes for the new chain and drops accumulated state
-  // (the serve daemon's resetForReuse path).
-  D.rebind(3);
-  EXPECT_EQ(D.sweeps(), 0u);
-  D.observeSweep(E);
-  Rec.reset();
-  D.publish(Rec);
-  G = Rec.gauges();
-  EXPECT_EQ(G.count("chain3/diag/rhat/mu"), 1u);
-  EXPECT_EQ(G.count("chain0/diag/rhat/mu"), 0u);
 }
 
 TEST(DiagChain, UndefinedStatsStillPublishTheFullKeySet) {

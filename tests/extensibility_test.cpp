@@ -98,17 +98,18 @@ TEST(Extensibility, PriorProposalUpdateSamplesCorrectPosterior) {
   Data["y"] = Value::realVec(std::move(Y));
 
   CompileOptions O;
-  auto Prog = Compiler::compile(Src, O, {Value::intScalar(N)}, Data);
-  ASSERT_TRUE(Prog.ok()) << Prog.message();
-  ASSERT_TRUE((*Prog)->init().ok());
+  auto Art = Compiler::compile(Src, O, {Value::intScalar(N)}, Data);
+  ASSERT_TRUE(Art.ok()) << Art.message();
+  auto Prog = std::make_unique<MCMCProgram>(*Art, O.Seed, 0);
+  ASSERT_TRUE(Prog->init().ok());
 
   // The new base update, composed alone (kernel = itself).
-  PriorProposalUpdate Update(**Prog, "m");
+  PriorProposalUpdate Update(*Prog, "m");
   const int Draws = 40000;
   double Sum = 0.0, SumSq = 0.0;
   for (int I = 0; I < Draws; ++I) {
     Update.step();
-    double M = (*Prog)->state().at("m").asReal();
+    double M = Prog->state().at("m").asReal();
     Sum += M;
     SumSq += M * M;
   }
@@ -141,23 +142,24 @@ TEST(Extensibility, NewUpdateComposesWithExistingSchedule) {
 
   CompileOptions O;
   O.UserSchedule = "Gibbs v (*) Gibbs m";
-  auto Prog = Compiler::compile(Src, O, {Value::intScalar(N)}, Data);
-  ASSERT_TRUE(Prog.ok()) << Prog.message();
-  ASSERT_TRUE((*Prog)->init().ok());
+  auto Art = Compiler::compile(Src, O, {Value::intScalar(N)}, Data);
+  ASSERT_TRUE(Art.ok()) << Art.message();
+  auto Prog = std::make_unique<MCMCProgram>(*Art, O.Seed, 0);
+  ASSERT_TRUE(Prog->init().ok());
 
-  PriorProposalUpdate MUpdate(**Prog, "m");
+  PriorProposalUpdate MUpdate(*Prog, "m");
   McmcCtx Ctx;
-  Ctx.Eng = &(*Prog)->engine();
-  Ctx.DM = &(*Prog)->densityModel();
+  Ctx.Eng = &Prog->engine();
+  Ctx.DM = &Prog->densityModel();
 
   double MeanM = 0.0;
   const int Sweeps = 2000;
   for (int I = 0; I < Sweeps; ++I) {
     // v via the compiled conjugate Gibbs update, m via the new update.
-    ASSERT_TRUE(runBaseUpdate(Ctx, (*Prog)->updates()[0]).ok());
+    ASSERT_TRUE(runBaseUpdate(Ctx, Prog->updates()[0]).ok());
     MUpdate.step();
-    MeanM += (*Prog)->state().at("m").asReal();
+    MeanM += Prog->state().at("m").asReal();
   }
   EXPECT_NEAR(MeanM / Sweeps, 2.0, 0.25);
-  EXPECT_TRUE(std::isfinite((*Prog)->logJoint()));
+  EXPECT_TRUE(std::isfinite(Prog->logJoint()));
 }

@@ -105,21 +105,6 @@ TEST(ServeCache, EvictionKeepsLeasesAlive) {
   EXPECT_EQ(Counted::Live.load(), 1);
 }
 
-TEST(ServeCache, RemoveDropsEntryButNotLeases) {
-  Counted::Live.store(0);
-  ArtifactCache<Counted> C(4);
-  auto Lease = C.acquire(5, make(55));
-  ASSERT_TRUE(Lease.ok());
-  C.remove(5);
-  EXPECT_FALSE(C.contains(5));
-  EXPECT_EQ((*Lease)->V, 55);
-  EXPECT_EQ(Counted::Live.load(), 1);
-  // A later acquire rebuilds.
-  std::atomic<int> Runs{0};
-  ASSERT_TRUE(C.acquire(5, make(56, &Runs)).ok());
-  EXPECT_EQ(Runs.load(), 1);
-}
-
 TEST(ServeCache, SingleFlightCoalescesConcurrentAcquires) {
   ArtifactCache<Counted> C(4);
   const int N = 8;

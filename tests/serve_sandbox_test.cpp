@@ -8,6 +8,8 @@
 //  * sandboxed streams (ring and pipe transports) are bit-identical to
 //    Infer::sampleChains — isolation is a transport, never a semantic
 //    change,
+//  * native modules are built once, in the daemon, with the artifact:
+//    forked workers inherit them rather than running the host compiler,
 //  * an injected SIGSEGV mid-stream is retried transparently: the
 //    client sees one seamless, complete, bit-identical stream while
 //    the crash/retry counters advance,
@@ -36,6 +38,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -45,6 +48,7 @@
 #include <gtest/gtest.h>
 
 #include "api/Infer.h"
+#include "models/PaperModels.h"
 #include "robust/FaultInject.h"
 #include "serve/Client.h"
 #include "serve/Sandbox.h"
@@ -352,6 +356,88 @@ TEST(ServeSandbox, SandboxedStreamsAreBitIdenticalToDirect) {
     if (KV.first.find("diag/rhat/") != std::string::npos)
       SawDiag = true;
   EXPECT_TRUE(SawDiag);
+}
+
+TEST(ServeSandbox, WorkersInheritTheParentsNativeModules) {
+  // A small HLR instance: its likelihood and gradient compile natively.
+  const int64_t N = 40, Kf = 3;
+  RNG DataRng(0x5B);
+  BlockedReal X = BlockedReal::rect(N, Kf, 0.0);
+  BlockedInt Y = BlockedInt::flat(N, 0);
+  for (int64_t I = 0; I < N; ++I) {
+    for (int64_t J = 0; J < Kf; ++J)
+      X.at(I, J) = DataRng.gauss();
+    Y.at(I) = X.at(I, 0) > 0.0 ? 1 : 0;
+  }
+  SampleRequest SR;
+  SR.Model = models::HLR;
+  SR.Args = {Value::realScalar(1.0), Value::intScalar(N),
+             Value::intScalar(Kf),
+             Value::realVec(X, Type::vec(Type::vec(Type::realTy())))};
+  SR.Data["y"] = Value::intVec(Y);
+  SR.NativeCpu = true;
+  SR.Chains = 2;
+  SR.NumSamples = 5;
+
+  auto CgenSpans = [] {
+    std::map<std::string, int> N;
+    for (const TraceEvent &E : Recorder::global().traceEvents())
+      if (E.Name.rfind("compile/cgen/", 0) == 0)
+        ++N[E.Name.substr(13)];
+    return N;
+  };
+  LiveServer L(isolatedOptions());
+  Client C = L.connect();
+  int64_t Forks0 = counterOf(C, "serve/sandbox/forks");
+  std::map<std::string, int> Builds0 = CgenSpans();
+  SampleRequest SR1 = SR;
+  SR1.Seed = 1;
+  Result<Client::SampleOutcome> First = C.sample(SR1, 111);
+  ASSERT_TRUE(First.ok()) << First.message();
+
+  // The daemon built both update procedures natively while compiling
+  // the artifact — inside its serve/compile span, before any fork — so
+  // workers inherit the loaded modules instead of running the host
+  // compiler per request.
+  std::vector<TraceEvent> Ev = Recorder::global().traceEvents();
+  auto Newest = [&](const std::string &Name) {
+    const TraceEvent *Last = nullptr;
+    for (const TraceEvent &E : Ev)
+      if (E.Name == Name && (!Last || E.StartNanos > Last->StartNanos))
+        Last = &E;
+    return Last;
+  };
+  const TraceEvent *Compile = Newest("serve/compile");
+  ASSERT_NE(Compile, nullptr);
+  const std::vector<std::string> Procs = {"llp_0", "grad_0"};
+  for (const std::string &P : Procs) {
+    const TraceEvent *Build = Newest("compile/cgen/" + P);
+    ASSERT_NE(Build, nullptr) << P;
+    EXPECT_GE(Build->StartNanos, Compile->StartNanos) << P;
+    EXPECT_LE(Build->StartNanos + Build->DurNanos,
+              Compile->StartNanos + Compile->DurNanos)
+        << P;
+    double Native = 0.0;
+    for (const auto &Arg : Build->Args)
+      if (Arg.first == "native")
+        Native = Arg.second;
+    EXPECT_EQ(Native, 1.0) << P << " did not build natively";
+  }
+
+  SampleRequest SR2 = SR;
+  SR2.Seed = 2;
+  Result<Client::SampleOutcome> Second = C.sample(SR2, 112);
+  ASSERT_TRUE(Second.ok()) << Second.message();
+  EXPECT_TRUE(Second->CacheHit);
+  EXPECT_EQ(counterOf(C, "serve/sandbox/forks"), Forks0 + 2);
+
+  // Each module was built once, in the daemon.
+  std::map<std::string, int> Builds = CgenSpans();
+  for (const std::string &P : Procs)
+    EXPECT_EQ(Builds[P] - Builds0[P], 1) << P;
+
+  expectChainsMatchDirect(First->Chains, SR1);
+  expectChainsMatchDirect(Second->Chains, SR2);
 }
 
 TEST(ServeSandbox, PipeTransportServesIdenticalStream) {

@@ -12,6 +12,8 @@
 //    via compile/total telemetry spans) and reports cache_hit,
 //  * concurrent clients driving the standard 3-model mix each get
 //    complete, correct streams while every model compiles exactly once,
+//  * two requests for one cached artifact sample concurrently: a
+//    request blocked mid-stream does not hold up the next one,
 //  * admission control: a full queue rejects with `overloaded`, an
 //    expired deadline with `deadline`, and neither kills the daemon,
 //  * an injected worker fault (AUGUR_FAULT_SPEC) fails only its own
@@ -37,6 +39,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -130,6 +133,89 @@ std::vector<SampleSet> directChains(const SampleRequest &SR) {
   Result<std::vector<SampleSet>> R = Aug.sampleChains(SO);
   EXPECT_TRUE(R.ok()) << R.message();
   return R.ok() ? R.take() : std::vector<SampleSet>();
+}
+
+/// A raw protocol connection, for tests that need socket options and
+/// bounded waits the Client does not expose. Closes on scope exit.
+struct RawConn {
+  int Fd = -1;
+
+  RawConn(int Port, int RcvBufBytes) {
+    Fd = socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(Fd, 0);
+    if (RcvBufBytes > 0)
+      setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &RcvBufBytes,
+                 sizeof(RcvBufBytes));
+    sockaddr_in Addr{};
+    Addr.sin_family = AF_INET;
+    Addr.sin_port = htons(uint16_t(Port));
+    EXPECT_EQ(1, inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr));
+    EXPECT_EQ(0, ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
+                           sizeof(Addr)));
+  }
+  ~RawConn() { close(Fd); }
+
+  Status send(uint64_t Id, const SampleRequest &SR) {
+    Request R;
+    R.Kind = Request::Op::Sample;
+    R.Id = Id;
+    R.Sample = SR;
+    return writeFrame(Fd, encodeRequest(R).dump());
+  }
+
+  /// Waits up to \p Millis for the next frame to start arriving.
+  bool readable(int Millis) {
+    pollfd P{Fd, POLLIN, 0};
+    return ::poll(&P, 1, Millis) == 1;
+  }
+
+  /// Reads frames until "done", collecting draws per chain. Returns
+  /// false on an error frame, EOF or a malformed draw.
+  bool drain(std::vector<SampleSet> &Chains) {
+    for (;;) {
+      bool Eof = false;
+      Result<Json> F = readJsonFrame(Fd, Eof);
+      if (Eof || !F.ok())
+        return false;
+      std::string Type = F->getStr("type", "");
+      if (Type == "done")
+        return true;
+      if (Type != "draw" || !addDraw(*F, Chains))
+        return false;
+    }
+  }
+
+  static bool addDraw(const Json &F, std::vector<SampleSet> &Chains) {
+    size_t Chain = size_t(F.getInt("chain", 0));
+    if (Chains.size() <= Chain)
+      Chains.resize(Chain + 1);
+    const Json *Values = F.find("values");
+    if (!Values)
+      return false;
+    for (const auto &KV : Values->obj()) {
+      Result<Value> V = decodeValue(KV.second);
+      if (!V.ok())
+        return false;
+      Chains[Chain].Draws[KV.first].push_back(V.take());
+    }
+    return true;
+  }
+};
+
+void expectSameStreams(const std::vector<SampleSet> &Served,
+                       const std::vector<SampleSet> &Direct,
+                       const char *What) {
+  ASSERT_EQ(Served.size(), Direct.size()) << What;
+  for (size_t Ch = 0; Ch < Direct.size(); ++Ch)
+    for (const auto &KV : Direct[Ch].Draws) {
+      auto It = Served[Ch].Draws.find(KV.first);
+      ASSERT_NE(It, Served[Ch].Draws.end()) << What << " " << KV.first;
+      ASSERT_EQ(It->second.size(), KV.second.size()) << What;
+      for (size_t I = 0; I < KV.second.size(); ++I)
+        EXPECT_TRUE(bitIdentical(It->second[I], KV.second[I]))
+            << What << " chain " << Ch << " draw " << I << " of "
+            << KV.first;
+    }
 }
 
 } // namespace
@@ -325,6 +411,58 @@ TEST(ServeServer, SecondRequestRunsZeroCompilerPhases) {
   ArtifactCacheStats CS = L.S.cacheStats();
   EXPECT_EQ(CS.Misses, 1u);
   EXPECT_GE(CS.Hits, 1u);
+}
+
+TEST(ServeServer, SameModelRequestsSampleConcurrently) {
+  ServerOptions O;
+  O.Workers = 2;
+  LiveServer L(O);
+  SampleRequest Base = gmmRequest(/*N=*/200);
+  Base.Record = {"z"};
+  {
+    // Compile and cache the artifact both requests below share.
+    Client Warm = L.connect();
+    Base.NumSamples = 2;
+    ASSERT_TRUE(Warm.sample(Base, 1).ok());
+  }
+
+  // Request A asks for far more draws than it will ever read, and its
+  // client stops reading after the first frame: A stays mid-request,
+  // its draw sink soon blocked on the full socket.
+  SampleRequest SA = Base;
+  SA.Seed = 0xA;
+  SA.NumSamples = 1000000;
+  RawConn A(L.S.port(), /*RcvBufBytes=*/4096);
+  ASSERT_TRUE(A.send(2, SA).ok());
+  std::vector<SampleSet> ServedA;
+  auto ReadDrawA = [&] {
+    bool Eof = false;
+    Result<Json> F = readJsonFrame(A.Fd, Eof);
+    return F.ok() && F->getStr("type", "") == "draw" &&
+           RawConn::addDraw(*F, ServedA);
+  };
+  ASSERT_TRUE(ReadDrawA());
+
+  // Request B for the same cached artifact streams while A is still
+  // running: the artifact holds no lock, each request samples its own
+  // chains.
+  SampleRequest SB = Base;
+  SB.Seed = 0xB;
+  SB.NumSamples = 5;
+  RawConn B(L.S.port(), 0);
+  ASSERT_TRUE(B.send(3, SB).ok());
+  ASSERT_TRUE(B.readable(5000))
+      << "request B waited for request A on their shared artifact";
+  std::vector<SampleSet> ServedB;
+  ASSERT_TRUE(B.drain(ServedB));
+  expectSameStreams(ServedB, directChains(SB), "request B");
+
+  // A resumes once its client reads again; its stream is the direct
+  // one (compared on a prefix — A is abandoned when A's socket closes).
+  for (int I = 1; I < 40; ++I)
+    ASSERT_TRUE(ReadDrawA()) << "draw " << I << " of request A";
+  SA.NumSamples = 40;
+  expectSameStreams(ServedA, directChains(SA), "request A");
 }
 
 TEST(ServeServer, ConcurrentClientsAcrossTheModelMix) {
